@@ -411,7 +411,7 @@ pub struct ServeOpts {
     pub m: u32,
     /// Engine behind the socket.
     pub backend: BackendKind,
-    /// Event-loop worker threads (`--workers`; `--pool` is an alias).
+    /// Event-loop worker threads (`--workers`).
     pub workers: usize,
     /// Concurrent-connection cap before shedding (`--max-conns`).
     pub max_conns: usize,

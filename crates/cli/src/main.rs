@@ -75,7 +75,7 @@ fn usage() -> &'static str {
      'ERR readonly') until `sprofile promote` flips it writable.\n\
      --proto bin makes clients upgrade to the length-prefixed binary\n\
      protocol (BIN) and pipeline BATCH frames; serve --proto bin starts\n\
-     connections in binary mode (--pool remains an alias for --workers).\n\
+     connections in binary mode.\n\
      --sync-commit makes a primary hold each OK until quorum/all attached\n\
      replicas acknowledged the write (degrades to async after the\n\
      timeout); --auto-failover lists the peer replicas a replica holds\n\
@@ -362,10 +362,7 @@ fn run() -> Result<(), String> {
                 addr: args.get("addr").unwrap_or("127.0.0.1:7979").to_string(),
                 m: args.get_parsed_positive("m", 1_048_576u32)?,
                 backend,
-                // --pool (the old accept-pool size) remains an alias
-                // for the event-loop worker count.
-                workers: args
-                    .get_parsed_positive("workers", args.get_parsed_positive("pool", 4usize)?)?,
+                workers: args.get_parsed_positive("workers", 4usize)?,
                 max_conns: args.get_parsed_positive("max-conns", 1024usize)?,
                 proto: parse_proto(&args)?,
                 flush: args.get_parsed_positive("flush", default_flush)?,
@@ -629,7 +626,6 @@ mod tests {
             "m",
             "chunk",
             "every",
-            "pool",
             "workers",
             "max-conns",
             "flush",

@@ -1,5 +1,13 @@
 //! The length-prefixed binary wire protocol (opt-in via `BIN`).
 //!
+//! This module is one of the server's two codecs. Its decoder turns a
+//! request frame into the same [`Request`] the text protocol produces,
+//! and its encoder writes the server's reply as a response frame;
+//! between the two, one `execute` in the connection state machine
+//! serves every verb for both protocols. The client half — the `put_*`
+//! request encoders and [`read_reply`] — is what [`crate::Client`]
+//! speaks.
+//!
 //! All integers are little-endian. A connection enters binary mode by
 //! sending the text line `BIN` (answered with the text line `OK BIN`);
 //! after that, both directions speak framed binary. Request frames:
@@ -40,17 +48,20 @@
 //!                   `SNAPSHOT <path>` writes to disk)
 //! ```
 //!
-//! Framing errors (unknown opcode, `BATCH` count over
-//! [`MAX_BATCH`](crate::protocol::MAX_BATCH)) are unrecoverable — the
-//! server answers with an `ERR` frame and closes. Semantic errors
-//! inside a well-framed `BATCH` (bad op byte, object outside the
-//! universe) consume the frame, answer `ERR`, and leave the
-//! connection usable, mirroring the text protocol.
+//! A frame is decoded only once all of it has arrived: `BATCH` tuples
+//! go from the read buffer straight into the request's tuple vector.
+//! Framing errors (unknown opcode, `BATCH` count over [`MAX_BATCH`])
+//! are unrecoverable — the server answers with an `ERR` frame and
+//! closes. Semantic errors inside a well-framed `BATCH` (bad op byte,
+//! object outside the universe) consume the frame, answer `ERR`, and
+//! leave the connection usable, mirroring the text protocol.
 
 use std::io::{self, BufRead, Read};
 
 use sprofile::Tuple;
 use sprofile_replicate::frame::TUPLE_BYTES;
+
+use crate::protocol::{Decoded, Request, Response, MAX_BATCH};
 
 /// `BATCH` request opcode.
 pub const REQ_BATCH: u8 = 0x01;
@@ -239,6 +250,116 @@ pub fn put_snapshot_reply(buf: &mut Vec<u8>, bytes: &[u8]) {
     buf.extend_from_slice(bytes);
 }
 
+/// The fixed-size argument after a frame's opcode byte, or `None`
+/// until it has arrived.
+fn arg<const N: usize>(buf: &[u8]) -> Option<[u8; N]> {
+    buf.get(1..1 + N)?.try_into().ok()
+}
+
+/// Decodes the request frame at the front of `buf`: `(bytes consumed,
+/// outcome)`. An incomplete frame consumes nothing.
+pub(crate) fn decode(buf: &[u8]) -> (usize, Decoded) {
+    let Some(&op) = buf.first() else {
+        return (0, Decoded::Incomplete);
+    };
+    let frame = match op {
+        REQ_MODE => Some((1, Request::Mode)),
+        REQ_LEAST => Some((1, Request::Least)),
+        REQ_MEDIAN => Some((1, Request::Median)),
+        REQ_STATS => Some((1, Request::Stats)),
+        REQ_QUIT => Some((1, Request::Quit)),
+        REQ_SHUTDOWN => Some((1, Request::Shutdown)),
+        REQ_SNAPSHOT => Some((1, Request::SnapshotFetch)),
+        REQ_FREQ => arg(buf).map(|a| (5, Request::Freq(u32::from_le_bytes(a)))),
+        REQ_TOPK => arg(buf).map(|a| (5, Request::TopK(u32::from_le_bytes(a)))),
+        REQ_CAL => arg(buf).map(|a| (9, Request::Cal(i64::from_le_bytes(a)))),
+        REQ_TRACE => arg(buf).map(|a| (9, Request::Trace(u64::from_le_bytes(a)))),
+        REQ_BATCH => return decode_batch(buf),
+        b'B' => return decode_upgrade_line(buf),
+        other => {
+            let msg = format!("unknown binary opcode 0x{other:02x}");
+            return (0, Decoded::Malformed { msg, fatal: true });
+        }
+    };
+    match frame {
+        Some((used, req)) => (used, Decoded::Request(req)),
+        None => (0, Decoded::Incomplete),
+    }
+}
+
+fn decode_batch(buf: &[u8]) -> (usize, Decoded) {
+    let Some(count) = arg(buf).map(u32::from_le_bytes) else {
+        return (0, Decoded::Incomplete);
+    };
+    let count = count as usize;
+    if count > MAX_BATCH {
+        // Refuse before buffering the payload; the length prefix
+        // itself is hostile, so the connection closes.
+        let msg = format!("BATCH size {count} exceeds maximum {MAX_BATCH}");
+        return (0, Decoded::Malformed { msg, fatal: true });
+    }
+    let Some(body) = buf.get(5..5 + count * TUPLE_BYTES) else {
+        return (0, Decoded::Incomplete);
+    };
+    let mut tuples = Vec::with_capacity(count);
+    let mut bad = None;
+    for (i, chunk) in body.chunks_exact(TUPLE_BYTES).enumerate() {
+        match get_tuple(chunk) {
+            Ok(t) => tuples.push(t),
+            Err(msg) => {
+                bad = Some(format!("tuple {}: {msg}", i + 1));
+                break;
+            }
+        }
+    }
+    let req = Request::BatchFrame { count, tuples, bad };
+    (5 + body.len(), Decoded::Request(req))
+}
+
+/// A server running natively in binary mode still accepts the text
+/// `BIN` upgrade line (first byte `0x42` = `'B'`) so clients can speak
+/// one handshake regardless of the server's `--proto`.
+fn decode_upgrade_line(buf: &[u8]) -> (usize, Decoded) {
+    const LF: &[u8] = b"BIN\n";
+    const CRLF: &[u8] = b"BIN\r\n";
+    if buf.starts_with(LF) {
+        (LF.len(), Decoded::Request(Request::BinUpgrade))
+    } else if buf.starts_with(CRLF) {
+        (CRLF.len(), Decoded::Request(Request::BinUpgrade))
+    } else if CRLF.starts_with(buf) {
+        // Could still become the upgrade line.
+        (0, Decoded::Incomplete)
+    } else {
+        let msg = "unknown binary opcode 0x42 (stray 'B')".to_string();
+        (0, Decoded::Malformed { msg, fatal: true })
+    }
+}
+
+/// Encodes one reply as a binary response frame.
+pub(crate) fn encode(out: &mut Vec<u8>, reply: &Response) {
+    match reply {
+        Response::Ok | Response::Bye => put_ok(out, 0),
+        Response::Count(n) => put_ok(out, u32::try_from(*n).unwrap_or(u32::MAX)),
+        Response::Upgraded => out.extend_from_slice(b"OK BIN\n"),
+        Response::Err(msg) => put_err(out, msg),
+        Response::Mode(pair) | Response::Least(pair) => put_pair(out, *pair),
+        Response::Freq(obj, f) => put_freq_reply(out, *obj, *f),
+        Response::Median(median) => put_median(out, *median),
+        Response::TopK(entries) => put_topk_reply(out, entries),
+        Response::Cal(count) => put_cal_reply(out, *count),
+        Response::Stats(payload) => put_stats(out, payload),
+        Response::Snapshot(bytes) => put_snapshot_reply(out, bytes),
+        // Text-only verbs: the binary decoder never produces their
+        // requests.
+        Response::Metrics(_)
+        | Response::Logtail(_)
+        | Response::Spans(_)
+        | Response::Promoted { .. }
+        | Response::Map(_) => put_err(out, "reply has no binary encoding"),
+        Response::Stream { .. } => {}
+    }
+}
+
 /// A decoded binary response frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Reply {
@@ -313,7 +434,7 @@ pub fn read_reply<R: BufRead>(r: &mut R) -> io::Result<Reply> {
         TAG_TOPK => {
             let n = read_u32(r)? as usize;
             // A hostile server can't make us allocate unboundedly.
-            if n > crate::protocol::MAX_BATCH {
+            if n > MAX_BATCH {
                 return Err(bad_data(format!("TOPK reply count {n} is implausible")));
             }
             let mut entries = Vec::with_capacity(n);
@@ -452,6 +573,66 @@ mod tests {
             let mut cursor = io::Cursor::new(buf[..cut].to_vec());
             assert!(read_reply(&mut cursor).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn frames_decode_only_once_complete() {
+        let mut wire = Vec::new();
+        put_batch(&mut wire, &[Tuple::add(7), Tuple::remove(2)]);
+        put_cal(&mut wire, -3);
+        let batch_len = 5 + 2 * TUPLE_BYTES;
+        for cut in 0..batch_len {
+            assert_eq!(decode(&wire[..cut]), (0, Decoded::Incomplete), "cut {cut}");
+        }
+        let want = Request::BatchFrame {
+            count: 2,
+            tuples: vec![Tuple::add(7), Tuple::remove(2)],
+            bad: None,
+        };
+        assert_eq!(decode(&wire), (batch_len, Decoded::Request(want)));
+        assert_eq!(
+            decode(&wire[batch_len..]),
+            (9, Decoded::Request(Request::Cal(-3)))
+        );
+        assert_eq!(
+            decode(b"BIN\r\n"),
+            (5, Decoded::Request(Request::BinUpgrade))
+        );
+        assert_eq!(decode(b"BIN\r"), (0, Decoded::Incomplete));
+        for hostile in [&[0x7Fu8][..], b"BX", &[REQ_BATCH, 0xFF, 0xFF, 0xFF, 0xFF]] {
+            let (_, got) = decode(hostile);
+            assert!(
+                matches!(got, Decoded::Malformed { fatal: true, .. }),
+                "{got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn encoded_replies_read_back() {
+        for (reply, want) in [
+            (Response::Count(64), Reply::Ok(64)),
+            (Response::Bye, Reply::Ok(0)),
+            (
+                Response::Err("moved 3".into()),
+                Reply::Err("moved 3".into()),
+            ),
+            (Response::Mode(None), Reply::Pair(None)),
+            (Response::Least(Some((2, -4))), Reply::Pair(Some((2, -4)))),
+            (Response::Freq(1, 9), Reply::Freq(1, 9)),
+            (Response::Median(Some(3)), Reply::Median(Some(3))),
+            (Response::TopK(vec![(5, 6)]), Reply::TopK(vec![(5, 6)])),
+            (Response::Cal(2), Reply::Cal(2)),
+            (Response::Stats("m=4".into()), Reply::Stats("m=4".into())),
+            (Response::Snapshot(vec![1, 2]), Reply::Snapshot(vec![1, 2])),
+        ] {
+            let mut out = Vec::new();
+            encode(&mut out, &reply);
+            assert_eq!(round_trip(&out), want, "{reply:?}");
+        }
+        let mut out = Vec::new();
+        encode(&mut out, &Response::Upgraded);
+        assert_eq!(out, b"OK BIN\n");
     }
 
     #[test]

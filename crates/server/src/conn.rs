@@ -1,41 +1,54 @@
-//! Per-connection non-blocking state machine: read buffer → frame
-//! parser → backend apply → write buffer.
+//! Per-connection non-blocking state machine: one request core behind
+//! two wire codecs.
 //!
 //! An event-loop worker owns many [`Conn`]s. Each tick it `fill`s the
 //! read buffer from the socket (bounded per tick for fairness),
-//! `process`es as many complete frames as the buffer holds — text
-//! lines or binary frames, switching on a `BIN` upgrade — and flushes
-//! the write buffer back out. Replies accumulate in the write buffer;
-//! when a slow reader lets it grow past [`WBUF_PAUSE`], the parser
-//! pauses (and the worker drops read interest) until the backlog
-//! drains — per-connection backpressure instead of unbounded memory.
+//! `process`es as many complete frames as the buffer holds, and
+//! flushes the write buffer back out. Every frame, text or binary,
+//! runs through the same steps:
 //!
-//! The request semantics are identical to the old thread-per-connection
-//! loop, and the protocol/agreement suites hold it to that: acked
-//! tuples always reach the backend (the worker drains `pending` however
-//! the connection ends), a `BATCH` cut off mid-body is dropped whole,
-//! `QUIT`/`SHUTDOWN` flush before `BYE`, and a validated `REPLICATE`
-//! detaches the raw stream (plus any pipelined leftover bytes) to a
-//! dedicated thread.
+//! 1. **decode** — the connection's codec ([`protocol::TextDecoder`]
+//!    or [`bin_proto::decode`]) turns bytes into a [`Request`], timed
+//!    as the span's `parse` phase. Text `BATCH` lines and `ADOPT`
+//!    bytes accumulate in the text decoder and come out as one
+//!    complete request, so a body spread over several reads is still
+//!    one span; its clock starts at the first byte the decoder took.
+//! 2. **execute** — [`Conn::execute`] serves the request: each verb's
+//!    semantics (write gates, universe and cluster-ownership checks,
+//!    flush-before-read, masked queries, counters) are written once,
+//!    for both protocols.
+//! 3. **encode** — the reply goes through the connection's codec into
+//!    the write buffer, and `finish_request` seals the span, timing
+//!    execute and encode together as `apply`.
+//!
+//! Replies accumulate in the write buffer; when a slow reader lets it
+//! grow past [`WBUF_PAUSE`], the parser pauses (and the worker drops
+//! read interest) until the backlog drains — per-connection
+//! backpressure instead of unbounded memory.
+//!
+//! Acked tuples always reach the backend (the worker drains `pending`
+//! however the connection ends), a `BATCH` cut off mid-body is dropped
+//! whole, `QUIT`/`SHUTDOWN` flush before `BYE`, and a validated
+//! `REPLICATE` detaches the raw stream (plus any pipelined leftover
+//! bytes) to a dedicated thread.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use sprofile::{SProfile, Tuple};
 use sprofile_obs::span::{Phase, Span};
 use sprofile_obs::{log, Level};
 use sprofile_persist::slice_snapshot_bytes;
-use sprofile_replicate::frame::TUPLE_BYTES;
 
 use crate::backend::Backend;
 use crate::bin_proto;
 use crate::client::Client;
 use crate::cluster;
-use crate::metrics::{Metrics, Verb};
-use crate::protocol::{self, Request, WireProto};
+use crate::metrics::Verb;
+use crate::protocol::{self, Decoded, Request, Response, TextDecoder, WireProto};
 use crate::server::{flush_pending, resolve_snapshot_path, Shared};
 
 /// Pause parsing when the un-flushed write buffer exceeds this.
@@ -51,15 +64,18 @@ const READ_CHUNK: usize = 16 * 1024;
 /// smaller.
 const MAX_FRAME_BYTES: usize = 8 << 20;
 
-/// Saturating microseconds since `t0`.
-fn elapsed_us(t0: Instant) -> u64 {
-    t0.elapsed().as_micros().min(u64::MAX as u128) as u64
+/// The refusal every write gets once the WAL has fail-stopped.
+const WAL_FAILED: &str = "wal failed; writes refused (fail over or restart)";
+
+/// Saturating whole microseconds in `d`.
+fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u64::MAX as u128) as u64
 }
 
 /// The span phases stamped *inside* the apply window (by
 /// [`flush_pending`] and the migration fan-out) — subtracted from the
-/// wall-clock dispatch time so [`Phase::Apply`] excludes them and the
-/// phases stay a partition of the total.
+/// apply window's wall-clock time so [`Phase::Apply`] excludes them and
+/// the phases stay a partition of the total.
 const SUB_PHASES: [Phase; 5] = [
     Phase::WalLockWait,
     Phase::WalAppend,
@@ -68,23 +84,9 @@ const SUB_PHASES: [Phase; 5] = [
     Phase::Fanout,
 ];
 
-/// Classifies a binary opcode for the per-verb latency histograms.
-/// `None` for lifecycle frames (`QUIT`/`SHUTDOWN`, the `BIN` upgrade
-/// pseudo-frame) and unknown opcodes.
-fn bin_verb(op: u8) -> Option<Verb> {
-    Some(match op {
-        bin_proto::REQ_BATCH => Verb::Batch,
-        bin_proto::REQ_MODE => Verb::Mode,
-        bin_proto::REQ_LEAST => Verb::Least,
-        bin_proto::REQ_MEDIAN => Verb::Median,
-        bin_proto::REQ_STATS => Verb::Stats,
-        bin_proto::REQ_FREQ => Verb::Freq,
-        bin_proto::REQ_TOPK => Verb::TopK,
-        bin_proto::REQ_CAL => Verb::Cal,
-        bin_proto::REQ_SNAPSHOT => Verb::Snapshot,
-        bin_proto::REQ_TRACE => Verb::Trace,
-        _ => return None,
-    })
+/// Microseconds `span` has accumulated in the [`SUB_PHASES`].
+fn sub_phase_us(span: &Span) -> u64 {
+    SUB_PHASES.iter().map(|&p| span.get(p)).sum()
 }
 
 /// What `process` asks of the worker.
@@ -103,7 +105,7 @@ pub(crate) enum Flow {
     },
 }
 
-/// One parser step.
+/// One decode-execute-encode step.
 enum Step {
     /// Consumed input and/or produced output; go again.
     Progress,
@@ -113,40 +115,13 @@ enum Step {
     Stream { start_lsn: u64, epoch: u64 },
 }
 
-/// Mid-`ADOPT` body state: the header line was consumed, the raw
-/// snapshot bytes are still arriving. The body is consumed into its own
-/// buffer incrementally (not held in `rbuf`), so a snapshot larger than
-/// [`MAX_FRAME_BYTES`] still fits — the header's `nbytes` is bounded by
-/// [`protocol::MAX_ADOPT_BYTES`].
-struct AdoptBody {
-    slice: u32,
-    want: usize,
-    buf: Vec<u8>,
-    /// Refusal sampled at header time (no cluster, readonly, WAL
-    /// failed…); the body is consumed regardless so the connection
-    /// stays in sync.
-    refuse: Option<String>,
-}
-
-/// Mid-`BATCH` body state (text mode): the header was consumed, the
-/// body lines are still arriving.
-struct TextBatch {
-    want: usize,
-    seen: usize,
-    tuples: Vec<Tuple>,
-    error: Option<String>,
-    /// Sampled at header time, like the blocking loop did.
-    readonly: bool,
-    wal_failed: bool,
-}
-
-/// A request whose reply has not been finished yet: the verb, its
-/// start instant, and the profiling span accumulating its per-phase
-/// timings. Requests served within one parser step live here only
-/// momentarily; `BATCH`/`ADOPT` bodies carry it across ticks so the
-/// recorded latency covers the whole frame, not just its last fragment.
+/// The request being decoded or served: its clock, started by the
+/// first decode that consumed any of its bytes, and the profiling span
+/// accumulating its per-phase timings.
 struct Inflight {
-    verb: Verb,
+    /// Set once the frame decodes to a request that has a latency
+    /// histogram.
+    verb: Option<Verb>,
     t0: Instant,
     /// Per-phase microsecond accumulator; sealed by `finish_request`
     /// into the phase histograms and the flight recorder.
@@ -167,8 +142,8 @@ pub(crate) struct Conn {
     /// however the connection ends.
     pub(crate) pending: Vec<Tuple>,
     proto: WireProto,
-    batch: Option<TextBatch>,
-    adopt: Option<AdoptBody>,
+    /// Text codec state (a `BATCH`/`ADOPT` body in progress).
+    text: TextDecoder,
     /// Server-unique connection id, for log correlation.
     pub(crate) id: u64,
     /// Sticky trace id set by `TRACE <id>` (0 = untraced). Stamped on
@@ -177,7 +152,8 @@ pub(crate) struct Conn {
     pub(crate) trace: u64,
     inflight: Option<Inflight>,
     /// When the oldest unparsed bytes arrived — the next request's
-    /// [`Phase::Queue`] wait. Set by `fill`, consumed at parse start.
+    /// [`Phase::Queue`] wait. Set by `fill`, consumed when a request's
+    /// clock starts.
     queued_at: Option<Instant>,
     eof: bool,
     done: bool,
@@ -194,8 +170,7 @@ impl Conn {
             wpos: 0,
             pending: Vec::with_capacity(flush_every),
             proto,
-            batch: None,
-            adopt: None,
+            text: TextDecoder::default(),
             id,
             trace: 0,
             inflight: None,
@@ -329,7 +304,7 @@ impl Conn {
         (self.stream, leftover, unsent)
     }
 
-    /// Parses and serves as many complete frames as the read buffer
+    /// Decodes and serves as many complete frames as the read buffer
     /// holds. Never blocks; backend applies and queries run inline.
     pub(crate) fn process(&mut self, backend: &Backend, shared: &Arc<Shared>) -> Flow {
         loop {
@@ -344,12 +319,10 @@ impl Conn {
             if self.paused() {
                 return Flow::Continue;
             }
-            let step = match self.proto {
-                WireProto::Text => self.step_text(backend, shared),
-                WireProto::Bin => self.step_bin(backend, shared),
-            };
+            let step = self.step(backend, shared);
+            self.compact_rbuf();
             match step {
-                Step::Progress => self.compact_rbuf(),
+                Step::Progress => {}
                 Step::NeedMore => {
                     if self.eof {
                         // A partial trailing frame (including a BATCH
@@ -357,7 +330,7 @@ impl Conn {
                         return Flow::Done;
                     }
                     if self.rbuf.len() - self.rpos > MAX_FRAME_BYTES {
-                        self.error(shared, "frame too large");
+                        self.send(shared, &Response::Err("frame too large".into()));
                         self.done = true;
                         return Flow::Done;
                     }
@@ -378,41 +351,92 @@ impl Conn {
         }
     }
 
-    /// The next complete line as `(start, end, next_rpos)`; at EOF a
-    /// partial trailing line is handed up as-is (like the blocking
-    /// loop's `read_until` did).
-    fn peek_line(&self) -> Option<(usize, usize, usize)> {
-        let buf = &self.rbuf[self.rpos..];
-        match buf.iter().position(|&b| b == b'\n') {
-            Some(i) => Some((self.rpos, self.rpos + i, self.rpos + i + 1)),
-            None if self.eof && !buf.is_empty() => {
-                Some((self.rpos, self.rbuf.len(), self.rbuf.len()))
-            }
-            None => None,
+    /// One frame through decode → [`Conn::execute`] → encode, the same
+    /// steps for both protocols.
+    fn step(&mut self, backend: &Backend, shared: &Arc<Shared>) -> Step {
+        if self.rpos == self.rbuf.len() {
+            return Step::NeedMore;
         }
-    }
-
-    // ----- reply helpers ---------------------------------------------
-
-    fn metrics<'a>(&self, shared: &'a Shared) -> &'a Metrics {
-        &shared.metrics
-    }
-
-    fn out_line(&mut self, text: &str) {
-        self.wbuf.extend_from_slice(text.as_bytes());
-        self.wbuf.push(b'\n');
-    }
-
-    /// Protocol-appropriate `ERR` reply (counted in `errors`).
-    fn error(&mut self, shared: &Shared, msg: &str) {
-        self.metrics(shared).errors.inc();
-        match self.proto {
-            WireProto::Text => {
-                self.wbuf.extend_from_slice(b"ERR ");
-                self.wbuf.extend_from_slice(msg.as_bytes());
-                self.wbuf.push(b'\n');
+        let t = Instant::now();
+        let (used, decoded) = match self.proto {
+            WireProto::Text => self.text.decode(&self.rbuf[self.rpos..], self.eof),
+            WireProto::Bin => bin_proto::decode(&self.rbuf[self.rpos..]),
+        };
+        self.rpos += used;
+        let decoded_at = Instant::now();
+        let req = match decoded {
+            Decoded::Request(req) => Some(req),
+            Decoded::Incomplete => None,
+            // Neither starts a request: no span, and the queue wait the
+            // line held is over.
+            Decoded::Blank => {
+                self.queued_at = None;
+                return Step::Progress;
             }
-            WireProto::Bin => bin_proto::put_err(&mut self.wbuf, msg),
+            Decoded::Malformed { msg, fatal } => {
+                self.queued_at = None;
+                self.send(shared, &Response::Err(msg));
+                self.done |= fatal;
+                return Step::Progress;
+            }
+        };
+        if used > 0 && self.inflight.is_none() {
+            // A request's clock starts at the first decode that took any
+            // of its bytes; its queue wait ends there, so the phases stay
+            // disjoint.
+            let queued = self
+                .queued_at
+                .take()
+                .map_or(Duration::ZERO, |q| t.duration_since(q));
+            let mut span = Span::new("", self.trace, self.id);
+            span.add(Phase::Queue, micros(queued));
+            self.inflight = Some(Inflight {
+                verb: None,
+                t0: t,
+                span,
+                items: 0,
+            });
+        }
+        if let Some(inf) = self.inflight.as_mut() {
+            inf.span
+                .add(Phase::Parse, micros(decoded_at.duration_since(t)));
+        }
+        let Some(req) = req else {
+            return Step::NeedMore;
+        };
+        // Lifecycle verbs (QUIT, SHUTDOWN, BIN, REPLICATE) have no
+        // latency histogram: their span is dropped here.
+        match (Verb::of(&req), self.inflight.as_mut()) {
+            (Some(verb), Some(inf)) => {
+                inf.verb = Some(verb);
+                inf.span.set_label(verb.name());
+            }
+            _ => self.inflight = None,
+        }
+        let sub0 = self
+            .inflight
+            .as_ref()
+            .map_or(0, |inf| sub_phase_us(&inf.span));
+        let reply = self
+            .execute(req, backend, shared)
+            .unwrap_or_else(Response::Err);
+        if let Response::Stream { start_lsn, epoch } = reply {
+            return Step::Stream { start_lsn, epoch };
+        }
+        self.send(shared, &reply);
+        self.finish_request(shared, decoded_at, sub0);
+        Step::Progress
+    }
+
+    /// Encodes `reply` in the connection's protocol (an `ERR` is
+    /// counted in `errors`).
+    fn send(&mut self, shared: &Shared, reply: &Response) {
+        if matches!(reply, Response::Err(_)) {
+            shared.metrics.errors.inc();
+        }
+        match self.proto {
+            WireProto::Text => protocol::encode(&mut self.wbuf, reply),
+            WireProto::Bin => bin_proto::encode(&mut self.wbuf, reply),
         }
     }
 
@@ -424,46 +448,54 @@ impl Conn {
         flush_pending(&mut self.pending, backend, shared, self.trace, span);
     }
 
-    fn flush_if_due(&mut self, backend: &Backend, shared: &Arc<Shared>) {
+    fn flush_if_due(&mut self, backend: &Backend, shared: &Shared) {
         if self.pending.len() >= shared.flush_every {
             self.flush_now(backend, shared);
         }
     }
 
-    /// Microseconds the in-flight span has accumulated in the
-    /// [`SUB_PHASES`] so far; 0 when nothing is in flight.
-    fn sub_phase_us(&self) -> u64 {
-        self.inflight
-            .as_ref()
-            .map_or(0, |inf| SUB_PHASES.iter().map(|&p| inf.span.get(p)).sum())
-    }
-
-    /// Stamps one dispatch window into [`Phase::Apply`]: the wall
-    /// clock since `t0`, minus the sub-phase microseconds accrued
-    /// inside it (`sub_before` is [`Self::sub_phase_us`] sampled at
-    /// `t0`), so WAL/commit/fan-out time is not counted twice.
-    fn add_apply(&mut self, t0: Instant, sub_before: u64) {
-        let sub_delta = self.sub_phase_us().saturating_sub(sub_before);
+    /// Records the frame size the slow-op event reports.
+    fn frame_items(&mut self, n: usize) {
         if let Some(inf) = self.inflight.as_mut() {
-            inf.span
-                .add(Phase::Apply, elapsed_us(t0).saturating_sub(sub_delta));
+            inf.items = n as u64;
         }
     }
 
-    /// Closes out the in-flight request's timing: the span is sealed
-    /// (reply residual absorbs unstamped time) and fed to the per-verb
-    /// and per-phase histograms plus the flight recorder; the slow-op
-    /// check logs the phase breakdown; a traced connection gets a
-    /// `trace`-target event. No-op when nothing is in flight.
-    fn finish_request(&mut self, shared: &Shared) {
-        let Some(inf) = self.inflight.take() else {
+    /// A read query sees this connection's own writes: flush them, then
+    /// count the query.
+    fn begin_query(&mut self, backend: &Backend, shared: &Shared) {
+        self.flush_now(backend, shared);
+        shared.metrics.queries.inc();
+    }
+
+    /// Closes out the in-flight request's timing. The window since
+    /// `apply_start` — executing the request and encoding its reply —
+    /// goes to [`Phase::Apply`], minus the sub-phase microseconds accrued
+    /// inside it (`sub_before` was sampled at `apply_start`), so
+    /// WAL/commit/fan-out time is not counted twice. The span is then
+    /// sealed (reply residual absorbs unstamped time) and fed to the
+    /// per-verb and per-phase histograms plus the flight recorder; the
+    /// slow-op check logs the phase breakdown; a traced connection gets
+    /// a `trace`-target event. No-op when nothing is in flight.
+    fn finish_request(&mut self, shared: &Shared, apply_start: Instant, sub_before: u64) {
+        let Some(Inflight {
+            verb: Some(verb),
+            t0,
+            mut span,
+            items,
+        }) = self.inflight.take()
+        else {
             return;
         };
+        let now = Instant::now();
+        let sub_delta = sub_phase_us(&span).saturating_sub(sub_before);
+        let apply_us = micros(now.duration_since(apply_start)).saturating_sub(sub_delta);
+        span.add(Phase::Apply, apply_us);
         // The total covers queue wait too: the span's phases partition
         // it exactly (queue accrued before `t0`, everything else after).
-        let total_us = elapsed_us(inf.t0).saturating_add(inf.span.get(Phase::Queue));
-        shared.verb_us.record(inf.verb, total_us);
-        let rec = inf.span.finish(total_us);
+        let total_us = micros(now.duration_since(t0)).saturating_add(span.get(Phase::Queue));
+        shared.verb_us.record(verb, total_us);
+        let rec = span.finish(total_us);
         shared.phase_us.record_span(&rec);
         if shared.slow_us.is_some_and(|slow| total_us >= slow) {
             log!(
@@ -472,9 +504,9 @@ impl Conn {
                 "slow",
                 "slow op";
                 trace = self.trace,
-                verb = inf.verb.name(),
+                verb = verb.name(),
                 total_us = total_us,
-                items = inf.items,
+                items = items,
                 conn = self.id,
                 phases = rec.render_phases(),
             );
@@ -486,7 +518,7 @@ impl Conn {
                 "trace",
                 "request";
                 trace = self.trace,
-                verb = inf.verb.name(),
+                verb = verb.name(),
                 total_us = total_us,
                 conn = self.id,
             );
@@ -494,190 +526,213 @@ impl Conn {
         shared.spans.record(rec);
     }
 
-    // ----- text mode -------------------------------------------------
-
-    fn step_text(&mut self, backend: &Backend, shared: &Arc<Shared>) -> Step {
-        if self.adopt.is_some() {
-            let t0 = Instant::now();
-            let sub0 = self.sub_phase_us();
-            let step = self.step_adopt_body(backend, shared);
-            self.add_apply(t0, sub0);
-            if self.adopt.is_none() {
-                self.finish_request(shared);
-            }
-            return step;
-        }
-        if self.batch.is_some() {
-            let t0 = Instant::now();
-            let sub0 = self.sub_phase_us();
-            let step = self.step_text_batch_body(backend, shared);
-            self.add_apply(t0, sub0);
-            if self.batch.is_none() {
-                self.finish_request(shared);
-            }
-            return step;
-        }
-        let t0 = Instant::now();
-        let Some((start, end, next)) = self.peek_line() else {
-            return Step::NeedMore;
-        };
-        let parsed = {
-            let text = String::from_utf8_lossy(&self.rbuf[start..end]);
-            protocol::parse_request(text.trim_end_matches(['\r', '\n']))
-        };
-        self.rpos = next;
-        // Queue wait ends where this frame's clock (`t0`) starts, so
-        // the phases stay disjoint.
-        let queue_us = self
-            .queued_at
-            .take()
-            .map_or(0, |q| t0.saturating_duration_since(q).as_micros())
-            .min(u64::MAX as u128) as u64;
-        match parsed {
-            Ok(None) => Step::Progress,
-            Err(msg) => {
-                self.error(shared, &msg);
-                Step::Progress
-            }
-            Ok(Some(req)) => {
-                if let Some(verb) = Verb::of(&req) {
-                    let mut span = Span::new(verb.name(), self.trace, self.id);
-                    span.add(Phase::Queue, queue_us);
-                    span.add(Phase::Parse, elapsed_us(t0));
-                    self.inflight = Some(Inflight {
-                        verb,
-                        t0,
-                        span,
-                        items: match &req {
-                            Request::Batch(n) => *n as u64,
-                            Request::Adopt { nbytes, .. } => *nbytes as u64,
-                            _ => 0,
-                        },
-                    });
-                }
-                let t_apply = Instant::now();
-                let sub0 = self.sub_phase_us();
-                let step = self.dispatch_text(req, backend, shared);
-                self.add_apply(t_apply, sub0);
-                // Requests served within this step finish here; a
-                // BATCH/ADOPT body still arriving keeps its inflight
-                // record until the body completes.
-                if self.batch.is_none() && self.adopt.is_none() {
-                    self.finish_request(shared);
-                }
-                step
-            }
-        }
-    }
-
-    fn step_text_batch_body(&mut self, backend: &Backend, shared: &Arc<Shared>) -> Step {
-        loop {
-            let state = self.batch.as_ref().expect("batch state present");
-            if state.seen == state.want {
-                break;
-            }
-            let Some((start, end, next)) = self.peek_line() else {
-                return Step::NeedMore;
-            };
-            let parsed = {
-                let text = String::from_utf8_lossy(&self.rbuf[start..end]);
-                protocol::parse_tuple_line(text.trim_end_matches(['\r', '\n']))
-            };
-            self.rpos = next;
-            let m = shared.m;
-            let state = self.batch.as_mut().expect("batch state present");
-            state.seen += 1;
-            if state.error.is_none() && !state.readonly && !state.wal_failed {
-                match parsed {
-                    Ok(t) if t.object >= m => {
-                        state.error = Some(format!(
-                            "tuple {}: object {} outside universe [0, {m})",
-                            state.seen, t.object
-                        ));
-                    }
-                    Ok(t) => state.tuples.push(t),
-                    Err(msg) => state.error = Some(format!("tuple {}: {msg}", state.seen)),
-                }
-            }
-        }
-        let state = self.batch.take().expect("batch state present");
-        self.finish_batch(
-            state.want,
-            state.tuples,
-            state.error,
-            state.readonly,
-            state.wal_failed,
-            backend,
-            shared,
-        );
-        Step::Progress
-    }
-
-    /// Shared `BATCH` finalisation (text and binary): reject or apply
-    /// the fully-consumed frame and send the one reply.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_batch(
+    /// Serves one decoded request — every verb's semantics, written
+    /// once for both wire protocols. `Err` is the message of the `ERR`
+    /// reply.
+    fn execute(
         &mut self,
-        want: usize,
-        tuples: Vec<Tuple>,
-        error: Option<String>,
-        readonly: bool,
-        wal_failed: bool,
+        req: Request,
         backend: &Backend,
         shared: &Arc<Shared>,
-    ) {
-        if readonly {
-            self.error(shared, "readonly");
-            return;
-        }
-        if wal_failed {
-            self.error(shared, "wal failed; writes refused (fail over or restart)");
-            return;
-        }
-        // Cluster ownership gate: a frame touching any non-owned object
-        // is refused whole with the typed `ERR moved <ver>` redirect —
-        // partially applying a frame would make retries non-idempotent.
-        if error.is_none() {
-            if let Some(cs) = &shared.cluster {
-                let mask = cs.mask();
-                if tuples.iter().any(|t| !mask.owned(t.object)) {
-                    cs.moved_rejects.inc();
-                    self.error(shared, &cs.moved_msg());
-                    return;
+    ) -> Result<Response, String> {
+        Ok(match req {
+            Request::Add(id) | Request::Remove(id) => {
+                writable(shared)?;
+                in_universe(shared, id)?;
+                owns_all(shared, [id])?;
+                let is_add = matches!(req, Request::Add(_));
+                if is_add {
+                    shared.metrics.ops_add.inc();
+                } else {
+                    shared.metrics.ops_remove.inc();
                 }
+                self.pending.push(Tuple { object: id, is_add });
+                self.flush_if_due(backend, shared);
+                Response::Ok
             }
-        }
-        match error {
-            Some(msg) => self.error(shared, &msg),
-            None => {
-                self.metrics(shared).ops_batch.inc();
-                self.metrics(shared).batch_tuples.add(want as u64);
+            Request::BatchFrame { count, tuples, bad } => {
+                self.frame_items(count);
+                // A frame with any bad tuple is refused whole; the first
+                // bad one in frame order names the error.
+                writable(shared)?;
+                for (i, t) in tuples.iter().enumerate() {
+                    in_universe(shared, t.object).map_err(|e| format!("tuple {}: {e}", i + 1))?;
+                }
+                if let Some(msg) = bad {
+                    return Err(msg);
+                }
+                owns_all(shared, tuples.iter().map(|t| t.object))?;
+                shared.metrics.ops_batch.inc();
+                shared.metrics.batch_tuples.add(count as u64);
                 self.pending.extend_from_slice(&tuples);
                 self.flush_if_due(backend, shared);
-                match self.proto {
-                    WireProto::Text => self.out_line(&format!("OK {want}")),
-                    WireProto::Bin => bin_proto::put_ok(&mut self.wbuf, want as u32),
-                }
+                Response::Count(count as u64)
             }
-        }
+            Request::Mode => {
+                self.begin_query(backend, shared);
+                Response::Mode(match &shared.cluster {
+                    Some(cs) => cluster::masked_mode(&cs.mask(), backend),
+                    None => backend.mode(),
+                })
+            }
+            Request::Least => {
+                self.begin_query(backend, shared);
+                Response::Least(match &shared.cluster {
+                    Some(cs) => cluster::masked_least(&cs.mask(), backend),
+                    None => backend.least(),
+                })
+            }
+            Request::Freq(id) => {
+                in_universe(shared, id)?;
+                if let Some(cs) = &shared.cluster {
+                    if !cs.mask().owned(id) {
+                        return Err(cs.moved_msg());
+                    }
+                }
+                self.begin_query(backend, shared);
+                Response::Freq(id, backend.frequency(id))
+            }
+            Request::Median => {
+                self.begin_query(backend, shared);
+                Response::Median(match &shared.cluster {
+                    Some(cs) => cluster::masked_median(&cs.mask(), backend),
+                    None => backend.median(),
+                })
+            }
+            Request::TopK(k) => {
+                self.begin_query(backend, shared);
+                // Clamp so a hostile k cannot force an over-allocation
+                // in the per-shard merge.
+                let k = k.min(shared.m);
+                Response::TopK(match &shared.cluster {
+                    Some(cs) => cluster::masked_top_k(&cs.mask(), backend, k),
+                    None => backend.top_k(k),
+                })
+            }
+            Request::Cal(threshold) => {
+                self.begin_query(backend, shared);
+                Response::Cal(match &shared.cluster {
+                    Some(cs) => cluster::masked_count_at_least(&cs.mask(), backend, threshold),
+                    None => backend.count_at_least(threshold),
+                })
+            }
+            Request::Stats => {
+                self.flush_now(backend, shared);
+                Response::Stats(shared.stats_payload())
+            }
+            Request::Metrics => {
+                // Flush first, like STATS, so the exposition and a STATS
+                // taken in the same quiesced instant agree.
+                self.flush_now(backend, shared);
+                Response::Metrics(crate::prom::render(shared))
+            }
+            Request::Logtail(n) => Response::Logtail(shared.obs.tail(n)),
+            Request::Spans(n) => Response::Spans(shared.spans.render(n)),
+            Request::Trace(id) => {
+                self.trace = id;
+                if id != 0 {
+                    log!(
+                        shared.obs,
+                        Level::Info,
+                        "trace",
+                        "begin";
+                        trace = id,
+                        conn = self.id,
+                    );
+                }
+                Response::Ok
+            }
+            Request::Snapshot(path) => {
+                let target = resolve_snapshot_path(&shared.snapshot_dir, &path)
+                    .ok_or("snapshot path must be relative, without '..' components")?;
+                let bytes = self.checkpoint(backend, shared)?;
+                std::fs::write(&target, &bytes)
+                    .map_err(|e| format!("snapshot write failed: {e}"))?;
+                shared.metrics.snapshots.inc();
+                Response::Count(bytes.len() as u64)
+            }
+            Request::SnapshotFetch => {
+                let bytes = self.checkpoint(backend, shared)?;
+                shared.metrics.snapshots.inc();
+                Response::Snapshot(bytes)
+            }
+            Request::Replicate { start_lsn, epoch } => {
+                self.flush_now(backend, shared);
+                if shared.readonly() {
+                    return Err("readonly replica cannot serve replication".into());
+                }
+                if shared.repl.source.is_none() {
+                    return Err("replication requires --wal".into());
+                }
+                Response::Stream { start_lsn, epoch }
+            }
+            Request::Promote => {
+                self.flush_now(backend, shared);
+                let replica = shared.repl.replica.as_ref().ok_or("not a replica")?;
+                // Stop pulling from the (possibly dead) primary, open a
+                // new generation, then open the write path. Idempotent:
+                // a second PROMOTE reports the same position and epoch
+                // (only the first one bumps).
+                let already = replica.promoted.load(Ordering::Acquire);
+                replica.stop_applier();
+                let epoch = match &shared.durability {
+                    Some(d) if already => d.epoch(),
+                    // A failed marker write (disk) refuses the promotion
+                    // rather than open a generation a restart would
+                    // forget.
+                    Some(d) => d.bump_epoch(replica.stats.epoch())?,
+                    None => replica.stats.epoch().max(1),
+                };
+                replica.promoted.store(true, Ordering::Release);
+                shared.readonly.store(false, Ordering::Release);
+                let lsn = replica.stats.applied_lsn();
+                Response::Promoted { lsn, epoch }
+            }
+            Request::Map => Response::Map(cluster_node(shared)?.wire()),
+            Request::MapSet(map) => Response::Count(cluster_node(shared)?.install(map)?),
+            Request::Migrate { slice, target } => {
+                Response::Count(self.migrate(slice, target, backend, shared)?)
+            }
+            Request::AdoptFrame { slice, body } => {
+                self.frame_items(body.len());
+                Response::Count(self.adopt(slice, &body, backend, shared)?)
+            }
+            // Headers only: the text decoder reads their bodies and hands
+            // over the complete frames.
+            Request::Batch(_) | Request::Adopt { .. } => {
+                return Err("frame header without its body".into())
+            }
+            Request::BinUpgrade => {
+                // Everything after the `OK BIN` line, in either
+                // direction, is binary.
+                self.proto = WireProto::Bin;
+                Response::Upgraded
+            }
+            Request::Quit => {
+                // Flush before BYE: a client that saw BYE may assume its
+                // writes are applied (the agreement tests rely on it).
+                self.flush_now(backend, shared);
+                self.done = true;
+                Response::Bye
+            }
+            Request::Shutdown => {
+                self.flush_now(backend, shared);
+                shared.trigger_stop();
+                self.done = true;
+                Response::Bye
+            }
+        })
     }
 
-    /// Consumes `ADOPT` body bytes into the adopt buffer; finalises once
-    /// the full snapshot has arrived.
-    fn step_adopt_body(&mut self, backend: &Backend, shared: &Arc<Shared>) -> Step {
-        let state = self.adopt.as_mut().expect("adopt state present");
-        let take = (state.want - state.buf.len()).min(self.rbuf.len() - self.rpos);
-        state
-            .buf
-            .extend_from_slice(&self.rbuf[self.rpos..self.rpos + take]);
-        let complete = state.buf.len() == state.want;
-        self.rpos += take;
-        if !complete {
-            return Step::NeedMore;
-        }
-        let state = self.adopt.take().expect("adopt state present");
-        self.finish_adopt(state, backend, shared);
-        Step::Progress
+    /// Settles the backend and returns its checkpoint bytes,
+    /// round-trip-validated: a backend bug producing corrupt bytes is a
+    /// protocol `ERR`, not a worker-thread panic.
+    fn checkpoint(&mut self, backend: &Backend, shared: &Shared) -> Result<Vec<u8>, String> {
+        self.flush_now(backend, shared);
+        backend.drain();
+        backend
+            .validated_snapshot_bytes()
+            .map_err(|e| format!("snapshot validation failed: {e}"))
     }
 
     /// The migration sink: turns a shipped key-filtered snapshot into a
@@ -686,40 +741,34 @@ impl Conn {
     /// node's replicas, exactly like client writes. Idempotent: adopting
     /// the same snapshot twice produces an empty second delta, which is
     /// what lets the migration source re-ship until convergence.
-    fn finish_adopt(&mut self, state: AdoptBody, backend: &Backend, shared: &Arc<Shared>) {
-        if let Some(msg) = state.refuse {
-            self.error(shared, &msg);
-            return;
+    fn adopt(
+        &mut self,
+        slice: u32,
+        body: &[u8],
+        backend: &Backend,
+        shared: &Shared,
+    ) -> Result<u64, String> {
+        let cs = cluster_node(shared)?;
+        writable(shared)?;
+        let slices = cs.slices();
+        if slice >= slices {
+            return Err(format!("slice {slice} out of range"));
         }
-        let Some(cs) = &shared.cluster else {
-            self.error(shared, "not a cluster node");
-            return;
-        };
-        let shipped = match SProfile::from_snapshot_bytes(&state.buf) {
-            Ok(p) => p,
-            Err(e) => {
-                self.error(shared, &format!("ADOPT snapshot invalid: {e}"));
-                return;
-            }
-        };
+        let shipped = SProfile::from_snapshot_bytes(body)
+            .map_err(|e| format!("ADOPT snapshot invalid: {e}"))?;
         if shipped.num_objects() != shared.m {
-            self.error(
-                shared,
-                &format!(
-                    "ADOPT universe mismatch: snapshot m={}, server m={}",
-                    shipped.num_objects(),
-                    shared.m
-                ),
-            );
-            return;
+            return Err(format!(
+                "ADOPT universe mismatch: snapshot m={}, server m={}",
+                shipped.num_objects(),
+                shared.m
+            ));
         }
         // Settle local state before diffing against it.
         self.flush_now(backend, shared);
         backend.drain();
         let current = backend.frequencies();
-        let slices = cs.slices();
         let mut delta: Vec<Tuple> = Vec::new();
-        for x in (state.slice..shared.m).step_by(slices.max(1) as usize) {
+        for x in (slice..shared.m).step_by(slices.max(1) as usize) {
             let have = current[x as usize];
             let want = shipped.frequency(x);
             let is_add = want > have;
@@ -727,12 +776,11 @@ impl Conn {
                 delta.push(Tuple { object: x, is_add });
             }
         }
-        let applied = delta.len();
         for chunk in delta.chunks(protocol::MAX_BATCH) {
             self.pending.extend_from_slice(chunk);
             self.flush_now(backend, shared);
         }
-        self.out_line(&format!("OK {applied}"));
+        Ok(delta.len() as u64)
     }
 
     /// The migration source: ships `slice` to `target` (bulk `ADOPT`),
@@ -743,22 +791,15 @@ impl Conn {
     /// path. Global queries racing the window between the flip and the
     /// target's `MAPSET` may exclude the migrating slice; routers treat
     /// `MIGRATE` as a barrier.
-    fn do_migrate(
+    fn migrate(
         &mut self,
         slice: u32,
         target: u32,
         backend: &Backend,
-        shared: &Arc<Shared>,
+        shared: &Shared,
     ) -> Result<u64, String> {
-        let Some(cs) = &shared.cluster else {
-            return Err("not a cluster node".into());
-        };
-        if shared.readonly() {
-            return Err("readonly".into());
-        }
-        if shared.wal_failed() {
-            return Err("wal failed; writes refused (fail over or restart)".into());
-        }
+        let cs = cluster_node(shared)?;
+        writable(shared)?;
         let owner = cs
             .owner_of_slice(slice)
             .ok_or_else(|| format!("slice {slice} out of range ({})", cs.slices()))?;
@@ -819,7 +860,7 @@ impl Conn {
                 .adopt(slice, new_version, &now)
                 .map_err(|e| format!("catch-up ADOPT: {e}"))?;
             shipped = now;
-            std::thread::sleep(std::time::Duration::from_millis(2));
+            std::thread::sleep(Duration::from_millis(2));
         }
         // Hand the flipped map to the new owner; everyone else learns
         // from `ERR moved` redirects.
@@ -828,618 +869,53 @@ impl Conn {
             .map_err(|e| format!("MAPSET on target: {e}"))?;
         let _ = client.quit();
         if let Some(inf) = self.inflight.as_mut() {
-            inf.span.add(Phase::Fanout, elapsed_us(t_fanout));
+            inf.span.add(Phase::Fanout, micros(t_fanout.elapsed()));
         }
         cs.migrations.inc();
         Ok(new_version)
     }
+}
 
-    fn dispatch_text(&mut self, req: Request, backend: &Backend, shared: &Arc<Shared>) -> Step {
-        match req {
-            Request::Add(id) | Request::Remove(id) => {
-                if shared.readonly() {
-                    self.error(shared, "readonly");
-                    return Step::Progress;
-                }
-                if shared.wal_failed() {
-                    self.error(shared, "wal failed; writes refused (fail over or restart)");
-                    return Step::Progress;
-                }
-                if id >= shared.m {
-                    self.error(
-                        shared,
-                        &format!("object {id} outside universe [0, {})", shared.m),
-                    );
-                    return Step::Progress;
-                }
-                if let Some(cs) = &shared.cluster {
-                    if !cs.mask().owned(id) {
-                        cs.moved_rejects.inc();
-                        self.error(shared, &cs.moved_msg());
-                        return Step::Progress;
-                    }
-                }
-                let is_add = matches!(req, Request::Add(_));
-                if is_add {
-                    self.metrics(shared).ops_add.inc();
-                } else {
-                    self.metrics(shared).ops_remove.inc();
-                }
-                self.pending.push(Tuple { object: id, is_add });
-                self.flush_if_due(backend, shared);
-                self.out_line("OK");
-            }
-            Request::Batch(n) => {
-                // Sample the write-path gates at header time, like the
-                // blocking loop did; the body is consumed either way so
-                // the connection stays in sync.
-                self.batch = Some(TextBatch {
-                    want: n,
-                    seen: 0,
-                    tuples: Vec::with_capacity(n.min(protocol::MAX_BATCH)),
-                    error: None,
-                    readonly: shared.readonly(),
-                    wal_failed: shared.wal_failed(),
-                });
-                return self.step_text_batch_body(backend, shared);
-            }
-            Request::Mode => {
-                self.flush_now(backend, shared);
-                self.metrics(shared).queries.inc();
-                let pair = match &shared.cluster {
-                    Some(cs) => cluster::masked_mode(&cs.mask(), backend),
-                    None => backend.mode(),
-                };
-                match pair {
-                    Some((obj, f)) => self.out_line(&format!("MODE {obj} {f}")),
-                    None => self.out_line("NONE"),
-                }
-            }
-            Request::Least => {
-                self.flush_now(backend, shared);
-                self.metrics(shared).queries.inc();
-                let pair = match &shared.cluster {
-                    Some(cs) => cluster::masked_least(&cs.mask(), backend),
-                    None => backend.least(),
-                };
-                match pair {
-                    Some((obj, f)) => self.out_line(&format!("LEAST {obj} {f}")),
-                    None => self.out_line("NONE"),
-                }
-            }
-            Request::Freq(id) => {
-                if id >= shared.m {
-                    self.error(
-                        shared,
-                        &format!("object {id} outside universe [0, {})", shared.m),
-                    );
-                    return Step::Progress;
-                }
-                if let Some(cs) = &shared.cluster {
-                    if !cs.mask().owned(id) {
-                        self.error(shared, &cs.moved_msg());
-                        return Step::Progress;
-                    }
-                }
-                self.flush_now(backend, shared);
-                self.metrics(shared).queries.inc();
-                let f = backend.frequency(id);
-                self.out_line(&format!("FREQ {id} {f}"));
-            }
-            Request::Median => {
-                self.flush_now(backend, shared);
-                self.metrics(shared).queries.inc();
-                let median = match &shared.cluster {
-                    Some(cs) => cluster::masked_median(&cs.mask(), backend),
-                    None => backend.median(),
-                };
-                match median {
-                    Some(f) => self.out_line(&format!("MEDIAN {f}")),
-                    None => self.out_line("NONE"),
-                }
-            }
-            Request::TopK(k) => {
-                self.flush_now(backend, shared);
-                self.metrics(shared).queries.inc();
-                // Clamp so a hostile k cannot force an over-allocation
-                // in the per-shard merge.
-                let entries = match &shared.cluster {
-                    Some(cs) => cluster::masked_top_k(&cs.mask(), backend, k.min(shared.m)),
-                    None => backend.top_k(k.min(shared.m)),
-                };
-                self.out_line(&format!("TOPK {}", entries.len()));
-                for (obj, f) in entries {
-                    self.out_line(&format!("{obj} {f}"));
-                }
-            }
-            Request::Cal(threshold) => {
-                self.flush_now(backend, shared);
-                self.metrics(shared).queries.inc();
-                let count = match &shared.cluster {
-                    Some(cs) => cluster::masked_count_at_least(&cs.mask(), backend, threshold),
-                    None => backend.count_at_least(threshold),
-                };
-                self.out_line(&format!("CAL {count}"));
-            }
-            Request::Stats => {
-                self.flush_now(backend, shared);
-                let payload = shared.stats_payload();
-                self.out_line(&format!("STATS {payload}"));
-            }
-            Request::Metrics => {
-                // Flush first, like STATS, so the exposition and a STATS
-                // taken in the same quiesced instant agree.
-                self.flush_now(backend, shared);
-                let payload = crate::prom::render(shared);
-                self.out_line(&format!("METRICS {}", payload.len()));
-                self.wbuf.extend_from_slice(payload.as_bytes());
-            }
-            Request::Logtail(n) => {
-                let payload = shared.obs.tail(n);
-                self.out_line(&format!("LOGTAIL {}", payload.len()));
-                self.wbuf.extend_from_slice(payload.as_bytes());
-            }
-            Request::Spans(n) => {
-                let payload = shared.spans.render(n);
-                self.out_line(&format!("SPANS {}", payload.len()));
-                self.wbuf.extend_from_slice(payload.as_bytes());
-            }
-            Request::Trace(id) => {
-                self.trace = id;
-                if id != 0 {
-                    log!(
-                        shared.obs,
-                        Level::Info,
-                        "trace",
-                        "begin";
-                        trace = id,
-                        conn = self.id,
-                    );
-                }
-                self.out_line("OK");
-            }
-            Request::Snapshot(path) => {
-                let Some(target) = resolve_snapshot_path(&shared.snapshot_dir, &path) else {
-                    self.error(
-                        shared,
-                        "snapshot path must be relative, without '..' components",
-                    );
-                    return Step::Progress;
-                };
-                self.flush_now(backend, shared);
-                backend.drain();
-                // Round-trip-validated: a backend bug producing corrupt
-                // bytes is a protocol ERR, not a worker-thread panic.
-                let bytes = match backend.validated_snapshot_bytes() {
-                    Ok(bytes) => bytes,
-                    Err(e) => {
-                        self.error(shared, &format!("snapshot validation failed: {e}"));
-                        return Step::Progress;
-                    }
-                };
-                match std::fs::write(&target, &bytes) {
-                    Ok(()) => {
-                        self.metrics(shared).snapshots.inc();
-                        self.out_line(&format!("OK {}", bytes.len()));
-                    }
-                    Err(e) => self.error(shared, &format!("snapshot write failed: {e}")),
-                }
-            }
-            Request::Replicate { start_lsn, epoch } => {
-                self.flush_now(backend, shared);
-                if shared.readonly() {
-                    self.error(shared, "readonly replica cannot serve replication");
-                    return Step::Progress;
-                }
-                if shared.repl.source.is_none() {
-                    self.error(shared, "replication requires --wal");
-                    return Step::Progress;
-                }
-                return Step::Stream { start_lsn, epoch };
-            }
-            Request::Promote => {
-                self.flush_now(backend, shared);
-                let Some(replica) = &shared.repl.replica else {
-                    self.error(shared, "not a replica");
-                    return Step::Progress;
-                };
-                // Stop pulling from the (possibly dead) primary, open a
-                // new generation, then open the write path. Idempotent:
-                // a second PROMOTE reports the same position and epoch
-                // (only the first one bumps).
-                let already = replica.promoted.load(Ordering::Acquire);
-                replica.stop_applier();
-                let epoch = match &shared.durability {
-                    Some(d) if already => d.epoch(),
-                    Some(d) => match d.bump_epoch(replica.stats.epoch()) {
-                        Ok(e) => e,
-                        Err(msg) => {
-                            // The marker write failed (disk): refuse the
-                            // promotion rather than open a generation
-                            // that a restart would forget.
-                            self.error(shared, &msg);
-                            return Step::Progress;
-                        }
-                    },
-                    None => replica.stats.epoch().max(1),
-                };
-                replica.promoted.store(true, Ordering::Release);
-                shared.readonly.store(false, Ordering::Release);
-                let applied = replica.stats.applied_lsn();
-                self.out_line(&format!("OK {applied} {epoch}"));
-            }
-            Request::Map => {
-                let Some(cs) = &shared.cluster else {
-                    self.error(shared, "not a cluster node");
-                    return Step::Progress;
-                };
-                self.out_line(&format!("MAP {}", cs.wire()));
-            }
-            Request::MapSet(map) => {
-                let Some(cs) = &shared.cluster else {
-                    self.error(shared, "not a cluster node");
-                    return Step::Progress;
-                };
-                match cs.install(map) {
-                    Ok(v) => self.out_line(&format!("OK {v}")),
-                    Err(msg) => self.error(shared, &msg),
-                }
-            }
-            Request::Migrate { slice, target } => {
-                match self.do_migrate(slice, target, backend, shared) {
-                    Ok(v) => self.out_line(&format!("OK {v}")),
-                    Err(msg) => self.error(shared, &msg),
-                }
-            }
-            Request::Adopt {
-                slice,
-                version: _,
-                nbytes,
-            } => {
-                // Refusal is sampled here (like BATCH's write gates) but
-                // the raw body is consumed either way so the connection
-                // stays in sync.
-                let refuse = if shared.cluster.is_none() {
-                    Some("not a cluster node".to_string())
-                } else if shared.readonly() {
-                    Some("readonly".to_string())
-                } else if shared.wal_failed() {
-                    Some("wal failed; writes refused (fail over or restart)".to_string())
-                } else if shared
-                    .cluster
-                    .as_ref()
-                    .is_some_and(|cs| slice >= cs.slices())
-                {
-                    Some(format!("slice {slice} out of range"))
-                } else {
-                    None
-                };
-                self.adopt = Some(AdoptBody {
-                    slice,
-                    want: nbytes,
-                    buf: Vec::with_capacity(nbytes.min(MAX_FRAME_BYTES)),
-                    refuse,
-                });
-                return self.step_adopt_body(backend, shared);
-            }
-            Request::BinUpgrade => {
-                // The acknowledgement is still a text line; everything
-                // after it (in either direction) is binary.
-                self.out_line("OK BIN");
-                self.proto = WireProto::Bin;
-            }
-            Request::Quit => {
-                // Flush before BYE: a client that saw BYE may assume its
-                // writes are applied (the agreement tests rely on it).
-                self.flush_now(backend, shared);
-                self.out_line("BYE");
-                self.done = true;
-            }
-            Request::Shutdown => {
-                self.flush_now(backend, shared);
-                self.out_line("BYE");
-                shared.trigger_stop();
-                self.done = true;
-            }
-        }
-        Step::Progress
+/// The write gate: a replica (until `PROMOTE`) and a fail-stopped WAL
+/// refuse every write.
+fn writable(shared: &Shared) -> Result<(), String> {
+    if shared.readonly() {
+        Err("readonly".into())
+    } else if shared.wal_failed() {
+        Err(WAL_FAILED.into())
+    } else {
+        Ok(())
     }
+}
 
-    // ----- binary mode -----------------------------------------------
-
-    /// Timing wrapper around the binary dispatcher: a frame served to
-    /// completion in this step records its verb latency and span.
-    /// Binary framing has no meaningful parse phase (fixed layouts), so
-    /// the parse slot stays 0 and dispatch time lands in apply. The
-    /// provisional inflight record is dropped on `NeedMore` — an
-    /// incomplete frame restarts its clock next tick, like before.
-    fn step_bin(&mut self, backend: &Backend, shared: &Arc<Shared>) -> Step {
-        let Some(&op) = self.rbuf.get(self.rpos) else {
-            return Step::NeedMore;
-        };
-        let t0 = Instant::now();
-        let queued_at = self.queued_at;
-        if let Some(verb) = bin_verb(op) {
-            self.inflight = Some(Inflight {
-                verb,
-                t0,
-                span: Span::new(verb.name(), self.trace, self.id),
-                items: 0,
-            });
-        }
-        let sub0 = self.sub_phase_us();
-        let step = self.step_bin_inner(backend, shared);
-        if matches!(step, Step::Progress) {
-            self.queued_at = None;
-            if let Some(inf) = self.inflight.as_mut() {
-                let queue_us = queued_at
-                    .map_or(0, |q| t0.saturating_duration_since(q).as_micros())
-                    .min(u64::MAX as u128) as u64;
-                inf.span.add(Phase::Queue, queue_us);
-            }
-            self.add_apply(t0, sub0);
-            self.finish_request(shared);
-        } else {
-            self.inflight = None;
-        }
-        step
+fn in_universe(shared: &Shared, id: u32) -> Result<(), String> {
+    if id < shared.m {
+        Ok(())
+    } else {
+        Err(format!("object {id} outside universe [0, {})", shared.m))
     }
+}
 
-    fn step_bin_inner(&mut self, backend: &Backend, shared: &Arc<Shared>) -> Step {
-        let Some(&op) = self.rbuf.get(self.rpos) else {
-            return Step::NeedMore;
-        };
-        match op {
-            bin_proto::REQ_BATCH => self.bin_batch(backend, shared),
-            bin_proto::REQ_MODE => {
-                self.rpos += 1;
-                self.flush_now(backend, shared);
-                self.metrics(shared).queries.inc();
-                let pair = match &shared.cluster {
-                    Some(cs) => cluster::masked_mode(&cs.mask(), backend),
-                    None => backend.mode(),
-                };
-                bin_proto::put_pair(&mut self.wbuf, pair);
-                Step::Progress
-            }
-            bin_proto::REQ_LEAST => {
-                self.rpos += 1;
-                self.flush_now(backend, shared);
-                self.metrics(shared).queries.inc();
-                let pair = match &shared.cluster {
-                    Some(cs) => cluster::masked_least(&cs.mask(), backend),
-                    None => backend.least(),
-                };
-                bin_proto::put_pair(&mut self.wbuf, pair);
-                Step::Progress
-            }
-            bin_proto::REQ_MEDIAN => {
-                self.rpos += 1;
-                self.flush_now(backend, shared);
-                self.metrics(shared).queries.inc();
-                let median = match &shared.cluster {
-                    Some(cs) => cluster::masked_median(&cs.mask(), backend),
-                    None => backend.median(),
-                };
-                bin_proto::put_median(&mut self.wbuf, median);
-                Step::Progress
-            }
-            bin_proto::REQ_STATS => {
-                self.rpos += 1;
-                self.flush_now(backend, shared);
-                let payload = shared.stats_payload();
-                bin_proto::put_stats(&mut self.wbuf, &payload);
-                Step::Progress
-            }
-            bin_proto::REQ_FREQ => {
-                let Some(id) = self.bin_u32_arg() else {
-                    return Step::NeedMore;
-                };
-                self.rpos += 5;
-                if id >= shared.m {
-                    self.error(
-                        shared,
-                        &format!("object {id} outside universe [0, {})", shared.m),
-                    );
-                    return Step::Progress;
-                }
-                if let Some(cs) = &shared.cluster {
-                    if !cs.mask().owned(id) {
-                        self.error(shared, &cs.moved_msg());
-                        return Step::Progress;
-                    }
-                }
-                self.flush_now(backend, shared);
-                self.metrics(shared).queries.inc();
-                let f = backend.frequency(id);
-                bin_proto::put_freq_reply(&mut self.wbuf, id, f);
-                Step::Progress
-            }
-            bin_proto::REQ_TOPK => {
-                let Some(k) = self.bin_u32_arg() else {
-                    return Step::NeedMore;
-                };
-                self.rpos += 5;
-                self.flush_now(backend, shared);
-                self.metrics(shared).queries.inc();
-                let entries = match &shared.cluster {
-                    Some(cs) => cluster::masked_top_k(&cs.mask(), backend, k.min(shared.m)),
-                    None => backend.top_k(k.min(shared.m)),
-                };
-                bin_proto::put_topk_reply(&mut self.wbuf, &entries);
-                Step::Progress
-            }
-            bin_proto::REQ_CAL => {
-                if self.rbuf.len() - self.rpos < 9 {
-                    return Step::NeedMore;
-                }
-                let threshold = i64::from_le_bytes(
-                    self.rbuf[self.rpos + 1..self.rpos + 9]
-                        .try_into()
-                        .expect("8 bytes"),
-                );
-                self.rpos += 9;
-                self.flush_now(backend, shared);
-                self.metrics(shared).queries.inc();
-                let count = match &shared.cluster {
-                    Some(cs) => cluster::masked_count_at_least(&cs.mask(), backend, threshold),
-                    None => backend.count_at_least(threshold),
-                };
-                bin_proto::put_cal_reply(&mut self.wbuf, count);
-                Step::Progress
-            }
-            bin_proto::REQ_SNAPSHOT => {
-                self.rpos += 1;
-                self.flush_now(backend, shared);
-                backend.drain();
-                match backend.validated_snapshot_bytes() {
-                    Ok(bytes) => {
-                        self.metrics(shared).snapshots.inc();
-                        bin_proto::put_snapshot_reply(&mut self.wbuf, &bytes);
-                    }
-                    Err(e) => {
-                        self.error(shared, &format!("snapshot validation failed: {e}"));
-                    }
-                }
-                Step::Progress
-            }
-            bin_proto::REQ_TRACE => {
-                if self.rbuf.len() - self.rpos < 9 {
-                    return Step::NeedMore;
-                }
-                let id = u64::from_le_bytes(
-                    self.rbuf[self.rpos + 1..self.rpos + 9]
-                        .try_into()
-                        .expect("8 bytes"),
-                );
-                self.rpos += 9;
-                self.trace = id;
-                if id != 0 {
-                    log!(
-                        shared.obs,
-                        Level::Info,
-                        "trace",
-                        "begin";
-                        trace = id,
-                        conn = self.id,
-                    );
-                }
-                bin_proto::put_ok(&mut self.wbuf, 0);
-                Step::Progress
-            }
-            bin_proto::REQ_QUIT => {
-                self.rpos += 1;
-                self.flush_now(backend, shared);
-                bin_proto::put_ok(&mut self.wbuf, 0);
-                self.done = true;
-                Step::Progress
-            }
-            bin_proto::REQ_SHUTDOWN => {
-                self.rpos += 1;
-                self.flush_now(backend, shared);
-                bin_proto::put_ok(&mut self.wbuf, 0);
-                shared.trigger_stop();
-                self.done = true;
-                Step::Progress
-            }
-            b'B' => self.bin_upgrade_line(shared),
-            other => {
-                // Unknown opcode: framing can no longer be trusted, so
-                // answer with a typed ERR and close.
-                self.error(shared, &format!("unknown binary opcode 0x{other:02x}"));
-                self.done = true;
-                Step::Progress
-            }
+/// The cluster ownership gate for writes: a frame touching any object
+/// this node does not own is refused whole with the typed
+/// `ERR moved <ver>` redirect — partially applying a frame would make
+/// retries non-idempotent.
+fn owns_all(shared: &Shared, objects: impl IntoIterator<Item = u32>) -> Result<(), String> {
+    if let Some(cs) = &shared.cluster {
+        let mask = cs.mask();
+        if !objects.into_iter().all(|x| mask.owned(x)) {
+            cs.moved_rejects.inc();
+            return Err(cs.moved_msg());
         }
     }
+    Ok(())
+}
 
-    /// `opcode + u32` argument, or `None` when incomplete.
-    fn bin_u32_arg(&self) -> Option<u32> {
-        let buf = &self.rbuf[self.rpos..];
-        if buf.len() < 5 {
-            return None;
-        }
-        Some(u32::from_le_bytes(buf[1..5].try_into().expect("4 bytes")))
-    }
-
-    fn bin_batch(&mut self, backend: &Backend, shared: &Arc<Shared>) -> Step {
-        let count = {
-            let buf = &self.rbuf[self.rpos..];
-            if buf.len() < 5 {
-                return Step::NeedMore;
-            }
-            u32::from_le_bytes(buf[1..5].try_into().expect("4 bytes")) as usize
-        };
-        if count > protocol::MAX_BATCH {
-            // Refuse before buffering the payload; the length prefix
-            // itself is hostile, so the connection closes.
-            self.error(
-                shared,
-                &format!("BATCH size {count} exceeds maximum {}", protocol::MAX_BATCH),
-            );
-            self.done = true;
-            return Step::Progress;
-        }
-        let need = 5 + count * TUPLE_BYTES;
-        if self.rbuf.len() - self.rpos < need {
-            return Step::NeedMore;
-        }
-        let readonly = shared.readonly();
-        let wal_failed = shared.wal_failed();
-        let (tuples, error) = {
-            let body = &self.rbuf[self.rpos + 5..self.rpos + need];
-            let mut tuples: Vec<Tuple> = Vec::with_capacity(count);
-            let mut error: Option<String> = None;
-            if !readonly && !wal_failed {
-                for (i, chunk) in body.chunks_exact(TUPLE_BYTES).enumerate() {
-                    match bin_proto::get_tuple(chunk) {
-                        Ok(t) if t.object >= shared.m => {
-                            error = Some(format!(
-                                "tuple {}: object {} outside universe [0, {})",
-                                i + 1,
-                                t.object,
-                                shared.m
-                            ));
-                            break;
-                        }
-                        Ok(t) => tuples.push(t),
-                        Err(msg) => {
-                            error = Some(format!("tuple {}: {msg}", i + 1));
-                            break;
-                        }
-                    }
-                }
-            }
-            (tuples, error)
-        };
-        self.rpos += need;
-        self.finish_batch(count, tuples, error, readonly, wal_failed, backend, shared);
-        Step::Progress
-    }
-
-    /// A server running natively in binary mode still accepts the text
-    /// `BIN` upgrade line (first byte `0x42` = `'B'`) so clients can
-    /// speak one handshake regardless of the server's `--proto`.
-    fn bin_upgrade_line(&mut self, shared: &Shared) -> Step {
-        const LF: &[u8] = b"BIN\n";
-        const CRLF: &[u8] = b"BIN\r\n";
-        let buf = &self.rbuf[self.rpos..];
-        if buf.starts_with(LF) {
-            self.rpos += LF.len();
-            self.out_line("OK BIN");
-            Step::Progress
-        } else if buf.starts_with(CRLF) {
-            self.rpos += CRLF.len();
-            self.out_line("OK BIN");
-            Step::Progress
-        } else if CRLF.starts_with(buf) {
-            // Could still become the upgrade line (LF is a prefix-case
-            // of CRLF up to byte 3).
-            Step::NeedMore
-        } else {
-            self.error(shared, "unknown binary opcode 0x42 (stray 'B')");
-            self.done = true;
-            Step::Progress
-        }
-    }
+/// This node's cluster state; `ERR not a cluster node` on a standalone
+/// server.
+fn cluster_node(shared: &Shared) -> Result<&cluster::ClusterState, String> {
+    shared
+        .cluster
+        .as_ref()
+        .ok_or_else(|| "not a cluster node".into())
 }

@@ -58,7 +58,6 @@ mod cluster;
 mod conn;
 mod durability;
 mod failover;
-pub mod hist;
 pub mod loadgen;
 mod metrics;
 mod prom;
@@ -70,7 +69,6 @@ pub use backend::{Backend, BackendKind, BackendOwner};
 pub use client::{Client, ClientError, ClientResult};
 pub use cluster::ClusterConfig;
 pub use durability::DurabilityConfig;
-pub use hist::LogHistogram;
 pub use loadgen::{LatencySummary, LoadgenConfig, LoadgenReport};
 pub use metrics::{Counter, Metrics};
 pub use protocol::WireProto;

@@ -23,10 +23,10 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use sprofile::Tuple;
+use sprofile_obs::hist::LogHistogram;
 use sprofile_streamgen::StreamConfig;
 
 use crate::client::{Client, ClientError, ClientResult};
-use crate::hist::LogHistogram;
 use crate::protocol::WireProto;
 
 /// `BATCH` frames kept in flight per connection in binary mode. Text

@@ -4,9 +4,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use sprofile_obs::hist::AtomicLogHistogram;
 use sprofile_obs::span::{Phase, SpanRecord};
 
-use crate::hist::AtomicLogHistogram;
 use crate::protocol::Request;
 
 /// One monotonically increasing counter (relaxed ordering — counters are
@@ -33,6 +33,18 @@ impl Counter {
         self.0.load(Ordering::Relaxed)
     }
 
+    /// Adds one unless the value has reached `limit`; returns whether
+    /// it did. One atomic read-modify-write, so concurrent callers never
+    /// push a gauge past its limit together (relaxed is enough: the
+    /// count publishes no other data).
+    pub(crate) fn try_inc_below(&self, limit: u64) -> bool {
+        self.0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < limit).then_some(n + 1)
+            })
+            .is_ok()
+    }
+
     /// Decrement by one.
     ///
     /// **Gauge-only.** `Counter` doubles as a gauge for values like
@@ -57,8 +69,9 @@ pub struct Metrics {
     /// Connections currently open (gauge). Includes replication streams
     /// that have been detached to dedicated threads.
     pub connections_active: Counter,
-    /// Connections currently owned by the event-loop workers (gauge).
-    /// Excludes detached replication streams.
+    /// Connections currently owned by the event-loop workers (gauge):
+    /// the slots in use of the server-wide `max_conns` budget. Excludes
+    /// detached replication streams.
     pub conns: Counter,
     /// Connections refused with `ERR overloaded` because the server was
     /// at its `--max-conns` limit.
@@ -209,7 +222,7 @@ impl Verb {
         Some(match req {
             Request::Add(_) => Verb::Add,
             Request::Remove(_) => Verb::Remove,
-            Request::Batch(_) => Verb::Batch,
+            Request::Batch(_) | Request::BatchFrame { .. } => Verb::Batch,
             Request::Mode => Verb::Mode,
             Request::Least => Verb::Least,
             Request::Freq(_) => Verb::Freq,
@@ -217,10 +230,10 @@ impl Verb {
             Request::TopK(_) => Verb::TopK,
             Request::Cal(_) => Verb::Cal,
             Request::Stats => Verb::Stats,
-            Request::Snapshot(_) => Verb::Snapshot,
+            Request::Snapshot(_) | Request::SnapshotFetch => Verb::Snapshot,
             Request::Map | Request::MapSet(_) => Verb::Map,
             Request::Migrate { .. } => Verb::Migrate,
-            Request::Adopt { .. } => Verb::Adopt,
+            Request::Adopt { .. } | Request::AdoptFrame { .. } => Verb::Adopt,
             Request::Metrics => Verb::Metrics,
             Request::Logtail(_) => Verb::Logtail,
             Request::Spans(_) => Verb::Spans,

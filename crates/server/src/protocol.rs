@@ -64,12 +64,20 @@
 //! binary. A server started with `serve --proto bin` expects binary
 //! frames from the first byte, but still accepts the `BIN\n` upgrade
 //! line (recognised as a pseudo-frame) so clients can speak one
-//! handshake regardless of the server's native mode. Malformed binary
-//! input — an unknown opcode, or a `BATCH` count beyond the cap —
-//! gets a typed binary `ERR` frame and the connection closes, since
-//! framing can no longer be trusted; in-frame semantic errors (bad op
-//! byte, object outside the universe) consume the frame, answer `ERR`,
-//! and keep the connection usable, exactly like text `BATCH` bodies.
+//! handshake regardless of the server's native mode.
+//!
+//! Both protocols are thin codecs over one request core. This module
+//! decodes text lines into [`Request`]s and encodes the server's reply
+//! type as text; `bin_proto` does the same for binary frames. Each
+//! connection runs every frame through decode → [`Request`] →
+//! `execute` → reply → encode, so each verb's semantics (write gates,
+//! universe and ownership checks, counters) exist once and answer
+//! identically in both protocols. Malformed binary input — an unknown
+//! opcode, or a `BATCH` count beyond the cap — gets a typed binary
+//! `ERR` frame and the connection closes, since framing can no longer
+//! be trusted; in-frame semantic errors (bad op byte, object outside
+//! the universe) consume the frame, answer `ERR`, and keep the
+//! connection usable, exactly like text `BATCH` bodies.
 //!
 //! Any malformed line gets an `ERR <reason>` reply and the connection
 //! stays usable. A `BATCH` whose tuple lines contain an error is
@@ -202,6 +210,9 @@
 //! `commit_wait_us`, `fanout_us`, `reply_us`). Slowest first, with the
 //! same length-prefixed framing as `METRICS`.
 
+use std::borrow::Cow;
+use std::io::Write as _;
+
 use sprofile::Tuple;
 use sprofile_persist::PartitionMap;
 
@@ -250,8 +261,20 @@ pub enum Request {
     Add(u32),
     /// `RM <id>` — buffer one remove.
     Remove(u32),
-    /// `BATCH <n>` — `n` tuple lines follow.
+    /// `BATCH <n>` — `n` tuple lines follow. The text decoder reads the
+    /// body and hands the server a [`Request::BatchFrame`].
     Batch(usize),
+    /// A complete `BATCH` frame (either protocol): `count` tuples were
+    /// sent, `tuples` holds them up to the first undecodable one, and
+    /// `bad` is that one's error. Never returned by [`parse_request`].
+    BatchFrame {
+        /// Tuples the frame announced.
+        count: usize,
+        /// The decoded tuples, up to the first bad one.
+        tuples: Vec<Tuple>,
+        /// The first undecodable tuple's error, `tuple <i>: …`.
+        bad: Option<String>,
+    },
     /// `MODE` — most frequent object.
     Mode,
     /// `LEAST` — least frequent object.
@@ -278,6 +301,8 @@ pub enum Request {
     /// only accepts relative paths without `..`, resolved inside its
     /// configured snapshot directory.
     Snapshot(String),
+    /// Binary `SNAPSHOT` — return the checkpoint bytes inline.
+    SnapshotFetch,
     /// `REPLICATE <lsn> [<epoch>]` — turn this connection into a
     /// replication stream shipping WAL records from `lsn` onwards. The
     /// optional epoch is the highest generation the replica has
@@ -305,7 +330,8 @@ pub enum Request {
         target: u32,
     },
     /// `ADOPT <slice> <version> <nbytes>` — migration sink: `nbytes` of
-    /// raw snapshot body follow this line.
+    /// raw snapshot body follow this line. The text decoder reads the
+    /// body and hands the server a [`Request::AdoptFrame`].
     Adopt {
         /// The hash slice being shipped.
         slice: u32,
@@ -313,6 +339,14 @@ pub enum Request {
         version: u64,
         /// Raw snapshot bytes that follow the request line.
         nbytes: usize,
+    },
+    /// A complete `ADOPT` frame: the shipped snapshot body for `slice`.
+    /// Never returned by [`parse_request`].
+    AdoptFrame {
+        /// The hash slice being shipped.
+        slice: u32,
+        /// The raw snapshot bytes.
+        body: Vec<u8>,
     },
     /// `BIN` — switch this connection to the binary protocol.
     BinUpgrade,
@@ -484,6 +518,244 @@ pub fn parse_tuple_line(line: &str) -> Result<Tuple, String> {
         .parse()
         .map_err(|_| format!("invalid object id '{rest}'"))?;
     Ok(Tuple { object, is_add })
+}
+
+/// One reply of the request core, before a codec encodes it: [`encode`]
+/// writes the text form, [`crate::bin_proto::encode`] the binary frame.
+#[derive(Debug)]
+pub(crate) enum Response {
+    /// `OK` (`ADD`/`RM`/`TRACE`); binary `OK 0`.
+    Ok,
+    /// `OK <n>`: tuples accepted (`BATCH`), bytes written (`SNAPSHOT`),
+    /// map version (`MAPSET`/`MIGRATE`), tuples applied (`ADOPT`).
+    Count(u64),
+    /// `BYE` (`QUIT`/`SHUTDOWN`); binary `OK 0`.
+    Bye,
+    /// `OK BIN`, a text line in both protocols.
+    Upgraded,
+    /// `ERR <message>`.
+    Err(String),
+    /// `MODE <obj> <freq>` or `NONE`; binary `PAIR`.
+    Mode(Option<(u32, i64)>),
+    /// `LEAST <obj> <freq>` or `NONE`; binary `PAIR`.
+    Least(Option<(u32, i64)>),
+    /// `FREQ <obj> <freq>`.
+    Freq(u32, i64),
+    /// `MEDIAN <freq>` or `NONE`.
+    Median(Option<i64>),
+    /// `TOPK <n>` and one `<obj> <freq>` line per entry.
+    TopK(Vec<(u32, i64)>),
+    /// `CAL <count>`.
+    Cal(u32),
+    /// `STATS <payload>`.
+    Stats(String),
+    /// `METRICS <nbytes>` and the exposition.
+    Metrics(String),
+    /// `LOGTAIL <nbytes>` and the log lines.
+    Logtail(String),
+    /// `SPANS <nbytes>` and the span lines.
+    Spans(String),
+    /// Binary `SNAPSHOT`: checkpoint bytes inline.
+    Snapshot(Vec<u8>),
+    /// `OK <lsn> <epoch>` after `PROMOTE`.
+    Promoted {
+        /// The applied LSN the replica was promoted at.
+        lsn: u64,
+        /// The epoch it now serves.
+        epoch: u64,
+    },
+    /// `MAP <wire-encoded map>`.
+    Map(String),
+    /// Validated `REPLICATE`: no reply; the connection becomes a
+    /// replication stream.
+    Stream {
+        /// First LSN the replica wants shipped.
+        start_lsn: u64,
+        /// Highest epoch the replica has followed.
+        epoch: u64,
+    },
+}
+
+/// What a decoder found at the front of a connection's unread bytes.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Decoded {
+    /// The next frame is not complete yet.
+    Incomplete,
+    /// A blank or comment line: consumed, and answered with nothing.
+    Blank,
+    /// One complete request.
+    Request(Request),
+    /// A malformed frame, answered with `ERR <msg>`; `fatal` when the
+    /// framing itself is lost and the connection must close.
+    Malformed {
+        /// The `ERR` message.
+        msg: String,
+        /// Close the connection after the reply.
+        fatal: bool,
+    },
+}
+
+/// Text decoder state for one connection: the `BATCH` or `ADOPT` body
+/// whose header line was read but whose body is still arriving. The
+/// body is consumed incrementally and reaches the server as one
+/// complete request, however many reads it took.
+#[derive(Default)]
+pub(crate) struct TextDecoder {
+    body: Option<Body>,
+}
+
+enum Body {
+    /// `BATCH`: `want` tuple lines, `seen` read so far, decoded up to
+    /// the first bad line.
+    Batch {
+        want: usize,
+        seen: usize,
+        tuples: Vec<Tuple>,
+        bad: Option<String>,
+    },
+    /// `ADOPT`: `want` raw bytes.
+    Adopt {
+        slice: u32,
+        want: usize,
+        bytes: Vec<u8>,
+    },
+}
+
+/// The next line of `buf` and the bytes it spans, `\n` included; at
+/// EOF a partial trailing line is handed up as-is.
+fn next_line(buf: &[u8], eof: bool) -> Option<(Cow<'_, str>, usize)> {
+    let (line, used) = match buf.iter().position(|&b| b == b'\n') {
+        Some(i) => (&buf[..i], i + 1),
+        None if eof && !buf.is_empty() => (buf, buf.len()),
+        None => return None,
+    };
+    Some((String::from_utf8_lossy(line), used))
+}
+
+impl TextDecoder {
+    /// Decodes the request at the front of `buf`: `(bytes consumed,
+    /// outcome)`. A `BATCH` or `ADOPT` body that is still arriving is
+    /// consumed as far as it goes and reported `Incomplete` until its
+    /// last byte is in.
+    pub(crate) fn decode(&mut self, buf: &[u8], eof: bool) -> (usize, Decoded) {
+        let mut used = 0;
+        loop {
+            match self.body.take() {
+                None => {
+                    let Some((line, n)) = next_line(&buf[used..], eof) else {
+                        return (used, Decoded::Incomplete);
+                    };
+                    used += n;
+                    self.body = match parse_request(&line) {
+                        Ok(None) => return (used, Decoded::Blank),
+                        Ok(Some(Request::Batch(want))) => Some(Body::Batch {
+                            want,
+                            seen: 0,
+                            tuples: Vec::with_capacity(want),
+                            bad: None,
+                        }),
+                        Ok(Some(Request::Adopt { slice, nbytes, .. })) => Some(Body::Adopt {
+                            slice,
+                            want: nbytes,
+                            bytes: Vec::new(),
+                        }),
+                        Ok(Some(req)) => return (used, Decoded::Request(req)),
+                        Err(msg) => return (used, Decoded::Malformed { msg, fatal: false }),
+                    };
+                }
+                Some(Body::Batch {
+                    want,
+                    mut seen,
+                    mut tuples,
+                    mut bad,
+                }) => {
+                    while seen < want {
+                        let Some((line, n)) = next_line(&buf[used..], eof) else {
+                            self.body = Some(Body::Batch {
+                                want,
+                                seen,
+                                tuples,
+                                bad,
+                            });
+                            return (used, Decoded::Incomplete);
+                        };
+                        used += n;
+                        seen += 1;
+                        if bad.is_none() {
+                            match parse_tuple_line(&line) {
+                                Ok(t) => tuples.push(t),
+                                Err(msg) => bad = Some(format!("tuple {seen}: {msg}")),
+                            }
+                        }
+                    }
+                    let req = Request::BatchFrame {
+                        count: want,
+                        tuples,
+                        bad,
+                    };
+                    return (used, Decoded::Request(req));
+                }
+                Some(Body::Adopt {
+                    slice,
+                    want,
+                    mut bytes,
+                }) => {
+                    let take = (want - bytes.len()).min(buf.len() - used);
+                    bytes.extend_from_slice(&buf[used..used + take]);
+                    used += take;
+                    if bytes.len() < want {
+                        self.body = Some(Body::Adopt { slice, want, bytes });
+                        return (used, Decoded::Incomplete);
+                    }
+                    let req = Request::AdoptFrame { slice, body: bytes };
+                    return (used, Decoded::Request(req));
+                }
+            }
+        }
+    }
+}
+
+/// Encodes one reply as text.
+pub(crate) fn encode(out: &mut Vec<u8>, reply: &Response) {
+    // Writing into a `Vec` cannot fail.
+    let _ = match reply {
+        Response::Ok => writeln!(out, "OK"),
+        Response::Count(n) => writeln!(out, "OK {n}"),
+        Response::Bye => writeln!(out, "BYE"),
+        Response::Upgraded => writeln!(out, "OK BIN"),
+        Response::Err(msg) => writeln!(out, "ERR {msg}"),
+        Response::Mode(Some((obj, f))) => writeln!(out, "MODE {obj} {f}"),
+        Response::Least(Some((obj, f))) => writeln!(out, "LEAST {obj} {f}"),
+        Response::Median(Some(f)) => writeln!(out, "MEDIAN {f}"),
+        Response::Mode(None) | Response::Least(None) | Response::Median(None) => {
+            writeln!(out, "NONE")
+        }
+        Response::Freq(obj, f) => writeln!(out, "FREQ {obj} {f}"),
+        Response::TopK(entries) => writeln!(out, "TOPK {}", entries.len()).and_then(|()| {
+            entries
+                .iter()
+                .try_for_each(|(obj, f)| writeln!(out, "{obj} {f}"))
+        }),
+        Response::Cal(count) => writeln!(out, "CAL {count}"),
+        Response::Stats(payload) => writeln!(out, "STATS {payload}"),
+        Response::Metrics(payload) => sized(out, "METRICS", payload),
+        Response::Logtail(payload) => sized(out, "LOGTAIL", payload),
+        Response::Spans(payload) => sized(out, "SPANS", payload),
+        Response::Promoted { lsn, epoch } => writeln!(out, "OK {lsn} {epoch}"),
+        Response::Map(wire) => writeln!(out, "MAP {wire}"),
+        // The text decoder never produces an inline-snapshot request.
+        Response::Snapshot(_) => writeln!(out, "ERR reply has no text encoding"),
+        Response::Stream { .. } => Ok(()),
+    };
+}
+
+/// A `<NAME> <nbytes>` header line followed by exactly `nbytes` of
+/// payload, so multi-line text rides the line protocol without
+/// desyncing it.
+fn sized(out: &mut Vec<u8>, name: &str, payload: &str) -> std::io::Result<()> {
+    writeln!(out, "{name} {}", payload.len())?;
+    out.extend_from_slice(payload.as_bytes());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -664,6 +936,90 @@ mod tests {
     fn bad_tuple_lines_are_errors() {
         for line in ["", "a", "a x", "x 1", "12"] {
             assert!(parse_tuple_line(line).is_err(), "{line:?}");
+        }
+    }
+
+    #[test]
+    fn text_decoder_reassembles_bodies_split_across_reads() {
+        let mut d = TextDecoder::default();
+        // Header plus part of the body: consumed, not yet a request.
+        assert_eq!(d.decode(b"# hi\nBATCH", false), (5, Decoded::Blank));
+        assert_eq!(
+            d.decode(b"BATCH 3\na 1\nx", false),
+            (12, Decoded::Incomplete)
+        );
+        // The bad second line is remembered; the frame still completes.
+        let (used, got) = d.decode(b"x 9\n+4\nMODE\n", false);
+        assert_eq!(used, 7);
+        assert_eq!(
+            got,
+            Decoded::Request(Request::BatchFrame {
+                count: 3,
+                tuples: vec![Tuple::add(1)],
+                bad: Some("tuple 2: unknown action 'x' (use a/add/+ or r/remove/rm/-)".into()),
+            })
+        );
+        assert_eq!(
+            d.decode(b"MODE\n", false),
+            (5, Decoded::Request(Request::Mode))
+        );
+        // ADOPT bodies are raw bytes, newlines included.
+        assert_eq!(
+            d.decode(b"ADOPT 2 7 4\nab", false),
+            (14, Decoded::Incomplete)
+        );
+        assert_eq!(
+            d.decode(b"\ncdQUIT\n", false),
+            (
+                2,
+                Decoded::Request(Request::AdoptFrame {
+                    slice: 2,
+                    body: b"ab\nc".to_vec(),
+                })
+            )
+        );
+        // At EOF a trailing line without its newline is still a request.
+        assert_eq!(
+            d.decode(b"QUIT", true),
+            (4, Decoded::Request(Request::Quit))
+        );
+        let (_, bad) = d.decode(b"NOPE\n", false);
+        assert!(
+            matches!(bad, Decoded::Malformed { fatal: false, .. }),
+            "{bad:?}"
+        );
+    }
+
+    #[test]
+    fn text_replies_encode_byte_exact() {
+        for (reply, want) in [
+            (Response::Ok, "OK\n"),
+            (Response::Count(5), "OK 5\n"),
+            (Response::Bye, "BYE\n"),
+            (Response::Upgraded, "OK BIN\n"),
+            (Response::Err("readonly".into()), "ERR readonly\n"),
+            (Response::Mode(Some((3, 7))), "MODE 3 7\n"),
+            (Response::Least(Some((4, -1))), "LEAST 4 -1\n"),
+            (Response::Least(None), "NONE\n"),
+            (Response::Freq(9, 2), "FREQ 9 2\n"),
+            (Response::Median(Some(0)), "MEDIAN 0\n"),
+            (Response::TopK(vec![(1, 5), (2, 4)]), "TOPK 2\n1 5\n2 4\n"),
+            (Response::Cal(6), "CAL 6\n"),
+            (Response::Stats("m=4".into()), "STATS m=4\n"),
+            (Response::Spans("a\nb\n".into()), "SPANS 4\na\nb\n"),
+            (Response::Promoted { lsn: 8, epoch: 2 }, "OK 8 2\n"),
+            (Response::Map("1 2 a,b 0,1".into()), "MAP 1 2 a,b 0,1\n"),
+            (
+                Response::Stream {
+                    start_lsn: 1,
+                    epoch: 0,
+                },
+                "",
+            ),
+        ] {
+            let mut out = Vec::new();
+            encode(&mut out, &reply);
+            assert_eq!(String::from_utf8(out).unwrap(), want, "{reply:?}");
         }
     }
 }

@@ -13,9 +13,11 @@
 //!   non-blockingly accepts from the shared listener each tick.
 //! * **Backpressure and shedding.** A connection whose reply backlog
 //!   outgrows its write buffer pauses parsing (and read interest) until
-//!   the peer drains it. A connection accepted beyond `max_conns` is
-//!   refused with `ERR overloaded` and counted in the `shed` metric —
-//!   explicit shedding instead of unbounded accept queueing.
+//!   the peer drains it. Every accepted connection reserves a slot in
+//!   one server-wide budget of `max_conns` (whichever worker accepts
+//!   it); one past the budget is refused with `ERR overloaded` and
+//!   counted in the `shed` metric — explicit shedding instead of
+//!   unbounded accept queueing.
 //! * **Per-connection write batching.** `ADD`/`RM` (and small `BATCH`
 //!   frames) accumulate in a per-connection buffer that is flushed into
 //!   [`Backend::apply_batch`] at `flush_every` tuples. Every read query
@@ -42,6 +44,7 @@ use std::time::{Duration, Instant};
 
 use polling::{Event, Poller};
 use sprofile::Tuple;
+use sprofile_obs::hist::AtomicLogHistogram;
 use sprofile_obs::span::{register_panic_dump, FlightRecorder, Phase, Span};
 use sprofile_obs::{log, Level, Meter, Obs, ObsConfig};
 use sprofile_replicate::{
@@ -52,9 +55,8 @@ use crate::backend::{Backend, BackendKind, BackendOwner};
 use crate::cluster::{ClusterConfig, ClusterState};
 use crate::conn::{Conn, Flow};
 use crate::durability::{Durability, DurabilityConfig};
-use crate::hist::AtomicLogHistogram;
 use crate::metrics::{Metrics, PhaseHists, TickHists, VerbHists};
-use crate::protocol::WireProto;
+use crate::protocol::{self, Response, WireProto};
 use crate::repl::{BackendSink, ReplState, ReplicaState};
 
 /// Poller wait when a worker has live connections.
@@ -263,6 +265,9 @@ pub(crate) struct Meters {
 pub(crate) struct Shared {
     pub(crate) metrics: Metrics,
     pub(crate) m: u32,
+    /// Connections the event loops serve at once, across all workers
+    /// (`metrics.conns` counts the slots in use).
+    max_conns: u64,
     pub(crate) flush_every: usize,
     pub(crate) snapshot_dir: PathBuf,
     pub(crate) backend_name: &'static str,
@@ -518,6 +523,7 @@ impl Server {
         let shared = Arc::new(Shared {
             metrics: Metrics::default(),
             m: config.m,
+            max_conns: config.max_conns.max(1) as u64,
             // Sync commit acknowledges nothing it has not replicated,
             // so the reply to each write request must sit behind its
             // own flush: threshold 1.
@@ -594,9 +600,6 @@ impl Server {
             }
             None => None,
         };
-        // The connection budget is split evenly; every worker accepts
-        // from the shared listener, so the global bound holds.
-        let per_worker = config.max_conns.max(1).div_ceil(worker_count);
         let mut workers = Vec::with_capacity(worker_count);
         for i in 0..worker_count {
             let listener = listener.try_clone()?;
@@ -611,7 +614,7 @@ impl Server {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("sprofile-worker-{i}"))
-                    .spawn(move || event_worker(listener, backend, shared_w, poller, per_worker))
+                    .spawn(move || event_worker(listener, backend, shared_w, poller))
                     .expect("spawn event worker"),
             );
         }
@@ -956,26 +959,13 @@ fn serve_metrics_http(mut stream: TcpStream, shared: &Arc<Shared>) {
 
 /// One event-loop worker: non-blockingly accepts from the shared
 /// listener, then multiplexes its connections through the poller.
-fn event_worker(
-    listener: TcpListener,
-    backend: Backend,
-    shared: Arc<Shared>,
-    poller: Arc<Poller>,
-    max_conns: usize,
-) {
+fn event_worker(listener: TcpListener, backend: Backend, shared: Arc<Shared>, poller: Arc<Poller>) {
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut events: Vec<Event> = Vec::new();
     let mut ready: Vec<usize> = Vec::new();
     let mut next_key: usize = 0;
     while !shared.stopping() {
-        accept_burst(
-            &listener,
-            &shared,
-            &poller,
-            &mut conns,
-            &mut next_key,
-            max_conns,
-        );
+        accept_burst(&listener, &shared, &poller, &mut conns, &mut next_key);
         let timeout = if conns.is_empty() {
             IDLE_WAIT
         } else {
@@ -1049,35 +1039,34 @@ fn event_worker(
     }
 }
 
-/// Accepts every connection the listener has queued. Beyond the
-/// per-worker budget, connections are shed with `ERR overloaded`.
+/// Accepts every connection the listener has queued. Each one first
+/// reserves a slot in the server-wide `max_conns` budget (released on
+/// close or detach); with none left, it is shed with `ERR overloaded`.
 fn accept_burst(
     listener: &TcpListener,
     shared: &Arc<Shared>,
     poller: &Arc<Poller>,
     conns: &mut HashMap<usize, Conn>,
     next_key: &mut usize,
-    max_conns: usize,
 ) {
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 shared.metrics.connections_accepted.inc();
-                if conns.len() >= max_conns {
+                if !shared.metrics.conns.try_inc_below(shared.max_conns) {
                     shed(stream, shared);
                     continue;
                 }
-                if stream.set_nonblocking(true).is_err() {
+                let key = *next_key;
+                *next_key += 1;
+                let registered = stream.set_nonblocking(true).is_ok()
+                    && poller.add(&stream, Event::readable(key)).is_ok();
+                if !registered {
+                    shared.metrics.conns.dec();
                     continue;
                 }
                 stream.set_nodelay(true).ok();
-                let key = *next_key;
-                *next_key += 1;
-                if poller.add(&stream, Event::readable(key)).is_err() {
-                    continue;
-                }
                 shared.metrics.connections_active.inc();
-                shared.metrics.conns.inc();
                 let id = shared.next_conn_id();
                 log!(shared.obs, Level::Debug, "conn", "accepted", conn = id);
                 conns.insert(key, Conn::new(stream, shared.proto, shared.flush_every, id));
@@ -1093,9 +1082,10 @@ fn accept_burst(
 }
 
 /// Refuses a connection accepted over the budget: a short blocking
-/// write of the typed error, then close. The `shed` counter is the
-/// operator's overload signal.
-fn shed(stream: TcpStream, shared: &Shared) {
+/// write of the typed error (a text line, whatever the server's
+/// protocol: nothing was negotiated yet), then close. The `shed`
+/// counter is the operator's overload signal.
+fn shed(mut stream: TcpStream, shared: &Shared) {
     shared.metrics.shed.inc();
     shared.metrics.errors.inc();
     log!(shared.obs, Level::Warn, "server", "connection shed");
@@ -1103,8 +1093,9 @@ fn shed(stream: TcpStream, shared: &Shared) {
         stream
             .set_write_timeout(Some(Duration::from_millis(100)))
             .ok();
-        let mut stream = stream;
-        let _ = stream.write_all(b"ERR overloaded\n");
+        let mut reply = Vec::new();
+        protocol::encode(&mut reply, &Response::Err("overloaded".into()));
+        let _ = stream.write_all(&reply);
     }
 }
 

@@ -683,6 +683,74 @@ fn spans_returns_the_slowest_requests_with_phase_breakdowns() {
     server.shutdown();
 }
 
+/// A binary `BATCH` goes through the same request steps as a text one,
+/// so its slow-op event names the verb, the frame's tuple count and the
+/// time spent decoding it. The frame is large enough for its decode to
+/// take whole microseconds (spans count in µs; a handful of tuples
+/// decodes in less than one in a release build).
+#[test]
+fn slow_binary_batch_logs_its_items_and_parse_phase() {
+    const TUPLES: usize = 4096;
+    let server = Server::start(
+        ServerConfig {
+            m: 64,
+            workers: 2,
+            slow_ms: Some(0),
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let mut b = Client::connect_with(server.local_addr(), WireProto::Bin).unwrap();
+    let batch = vec![sprofile::Tuple::add(3); TUPLES];
+    assert_eq!(b.batch(&batch).unwrap(), TUPLES as u64);
+    b.quit().unwrap();
+
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let tail = c.logtail(0).unwrap();
+    let event = tail
+        .lines()
+        .find(|l| l.contains("slow op") && l.contains("verb=batch"))
+        .unwrap_or_else(|| panic!("no slow batch event in:\n{tail}"));
+    assert!(event.contains(&format!("items={TUPLES}")), "{event}");
+    assert!(event.contains("parse_us="), "{event}");
+    c.quit().unwrap();
+    server.shutdown();
+}
+
+/// A comment line is no request: it opens no span, so the idle time
+/// after it does not land in the next request's latency.
+#[test]
+fn comment_lines_start_no_request_clock() {
+    const IDLE_US: u64 = 100_000;
+    let server = Server::start(
+        ServerConfig {
+            m: 64,
+            workers: 2,
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    c.send_line("# keepalive").unwrap();
+    std::thread::sleep(std::time::Duration::from_micros(IDLE_US));
+    c.mode().unwrap();
+    let spans = c.spans(0).unwrap();
+    let mode = spans
+        .lines()
+        .find(|l| l.contains("verb=mode"))
+        .unwrap_or_else(|| panic!("no MODE span in:\n{spans}"));
+    let total: u64 = mode
+        .split_whitespace()
+        .find_map(|kv| kv.strip_prefix("total_us="))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no total in {mode}"));
+    assert!(total < IDLE_US, "{mode}");
+    c.quit().unwrap();
+    server.shutdown();
+}
+
 #[test]
 fn counters_are_monotone_across_scrapes_and_logtail_is_bounded() {
     let server = Server::start(

@@ -6,10 +6,13 @@
 //! when framing itself can no longer be trusted), never a hang, a
 //! panic, or a partially-applied batch.
 //!
-//! Mirrors `tests/server_protocol.rs`: one long-lived server per
-//! backend, state accumulating across proptest cases in lockstep with
-//! the oracles.
+//! Mirrors `tests/server_protocol.rs`: long-lived servers per backend,
+//! state accumulating across proptest cases in lockstep with the
+//! oracles. The random sessions also replay over text against a twin
+//! server, so both wire protocols must give the same answers and move
+//! the same counters.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -20,7 +23,7 @@ use proptest::prelude::*;
 use sprofile::{SProfile, Tuple};
 use sprofile_server::bin_proto::{self, Reply};
 use sprofile_server::{
-    loadgen, BackendKind, Client, LoadgenConfig, Server, ServerConfig, WireProto,
+    loadgen, BackendKind, Client, ClientError, LoadgenConfig, Server, ServerConfig, WireProto,
 };
 
 /// Small universe so frequencies collide and tie-breaking matters.
@@ -33,29 +36,45 @@ struct BackendUnderTest {
     _server: Server,
 }
 
+/// Two servers of one backend kind, one driven in binary and one in
+/// text, fed the same sessions so their states stay equal.
+struct Twins {
+    bin: String,
+    text: String,
+    oracle: SProfile,
+    _servers: [Server; 2],
+}
+
 struct Ctx {
     backends: Vec<BackendUnderTest>,
+    twins: Vec<Twins>,
+}
+
+const KINDS: [BackendKind; 2] = [BackendKind::Sharded { shards: 5 }, BackendKind::Pipeline];
+
+fn start(kind: BackendKind) -> Server {
+    Server::start(
+        ServerConfig {
+            m: M,
+            backend: kind,
+            workers: 2,
+            // Tiny threshold so sessions cross flush boundaries
+            // constantly.
+            flush_every: 4,
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("bind test server")
 }
 
 fn ctx() -> MutexGuard<'static, Ctx> {
     static CTX: OnceLock<Mutex<Ctx>> = OnceLock::new();
     CTX.get_or_init(|| {
-        let backends = [BackendKind::Sharded { shards: 5 }, BackendKind::Pipeline]
+        let backends = KINDS
             .into_iter()
             .map(|kind| {
-                let server = Server::start(
-                    ServerConfig {
-                        m: M,
-                        backend: kind,
-                        workers: 2,
-                        // Tiny threshold so sessions cross flush
-                        // boundaries constantly.
-                        flush_every: 4,
-                        ..ServerConfig::default()
-                    },
-                    "127.0.0.1:0",
-                )
-                .expect("bind test server");
+                let server = start(kind);
                 BackendUnderTest {
                     addr: server.local_addr().to_string(),
                     oracle: SProfile::new(M),
@@ -63,7 +82,19 @@ fn ctx() -> MutexGuard<'static, Ctx> {
                 }
             })
             .collect();
-        Mutex::new(Ctx { backends })
+        let twins = KINDS
+            .into_iter()
+            .map(|kind| {
+                let servers = [start(kind), start(kind)];
+                Twins {
+                    bin: servers[0].local_addr().to_string(),
+                    text: servers[1].local_addr().to_string(),
+                    oracle: SProfile::new(M),
+                    _servers: servers,
+                }
+            })
+            .collect();
+        Mutex::new(Ctx { backends, twins })
     })
     .lock()
     .expect("ctx lock poisoned")
@@ -166,76 +197,157 @@ fn oracle_least(oracle: &SProfile) -> Option<(u32, i64)> {
     })
 }
 
-fn apply_session(
-    client: &mut Client,
-    oracle: &mut SProfile,
-    ops: &[Op],
-) -> Result<(), TestCaseError> {
-    for op in ops {
-        match op {
-            Op::Add(x) => {
-                client.add(*x).expect("ADD");
-                oracle.add(*x);
-            }
-            Op::Remove(x) => {
-                client.remove(*x).expect("RM");
-                oracle.remove(*x);
-            }
-            Op::Batch(tuples) => {
-                let batch: Vec<Tuple> = tuples
-                    .iter()
-                    .map(|&(object, is_add)| Tuple { object, is_add })
-                    .collect();
-                let n = client.batch(&batch).expect("BATCH");
-                prop_assert_eq!(n as usize, batch.len());
-                for t in &batch {
-                    oracle.apply(*t);
+/// A session of well-formed ops with one out-of-universe `FREQ` and
+/// one `BATCH` holding an object ≥ m spliced in, so the `ERR` path is
+/// exercised too.
+fn session_strategy() -> impl Strategy<Value = Vec<Op>> {
+    (
+        prop::collection::vec(op_strategy(), 1..40),
+        (
+            M..4 * M,
+            prop::collection::vec((0u32..M, any::<bool>()), 0..8),
+        ),
+        (any::<usize>(), any::<usize>(), any::<usize>()),
+    )
+        .prop_map(|(mut ops, (far, mut batch), (at, i, j))| {
+            batch.insert(at % (batch.len() + 1), (far, true));
+            ops.insert(i % (ops.len() + 1), Op::Batch(batch));
+            ops.insert(j % (ops.len() + 1), Op::Freq(far));
+            ops
+        })
+}
+
+/// One op's decoded answer, in either protocol.
+#[derive(Debug, PartialEq, Eq)]
+enum Answer {
+    Count(u64),
+    Pair(Option<(u32, i64)>),
+    Freq(i64),
+    Median(Option<i64>),
+    TopK(Vec<(u32, i64)>),
+    Cal(u32),
+    Err(String),
+}
+
+fn tuples(batch: &[(u32, bool)]) -> Vec<Tuple> {
+    batch
+        .iter()
+        .map(|&(object, is_add)| Tuple { object, is_add })
+        .collect()
+}
+
+/// Sends one op. Singles travel as one-tuple `BATCH` frames in both
+/// protocols (the binary protocol has no single-tuple opcode), so both
+/// sessions exercise the same verbs.
+fn ask(client: &mut Client, op: &Op) -> Answer {
+    let answer = match op {
+        Op::Add(x) => client.batch(&[Tuple::add(*x)]).map(Answer::Count),
+        Op::Remove(x) => client.batch(&[Tuple::remove(*x)]).map(Answer::Count),
+        Op::Batch(batch) => client.batch(&tuples(batch)).map(Answer::Count),
+        Op::Mode => client.mode().map(Answer::Pair),
+        Op::Least => client.least().map(Answer::Pair),
+        Op::Freq(x) => client.freq(*x).map(Answer::Freq),
+        Op::Median => client.median().map(Answer::Median),
+        Op::TopK(k) => client.top_k(*k).map(Answer::TopK),
+        Op::Cal(f) => client.count_at_least(*f).map(Answer::Cal),
+    };
+    match answer {
+        Ok(answer) => answer,
+        Err(ClientError::Server(msg)) => Answer::Err(msg),
+        Err(e) => panic!("{op:?}: {e}"),
+    }
+}
+
+/// The answer the server owes `op`, applying its writes to the oracle.
+fn expect(oracle: &mut SProfile, op: &Op) -> Answer {
+    let outside = |x: u32| format!("object {x} outside universe [0, {M})");
+    match op {
+        Op::Add(x) => expect(oracle, &Op::Batch(vec![(*x, true)])),
+        Op::Remove(x) => expect(oracle, &Op::Batch(vec![(*x, false)])),
+        Op::Batch(batch) => match batch.iter().position(|&(x, _)| x >= M) {
+            Some(i) => Answer::Err(format!("tuple {}: {}", i + 1, outside(batch[i].0))),
+            None => {
+                for t in tuples(batch) {
+                    oracle.apply(t);
                 }
+                Answer::Count(batch.len() as u64)
             }
-            Op::Mode => {
-                prop_assert_eq!(client.mode().expect("MODE"), oracle_mode(oracle));
-            }
-            Op::Least => {
-                prop_assert_eq!(client.least().expect("LEAST"), oracle_least(oracle));
-            }
-            Op::Freq(x) => {
-                prop_assert_eq!(client.freq(*x).expect("FREQ"), oracle.frequency(*x));
-            }
-            Op::Median => {
-                prop_assert_eq!(client.median().expect("MEDIAN"), oracle.median());
-            }
-            Op::TopK(k) => {
-                prop_assert_eq!(client.top_k(*k).expect("TOPK"), oracle.top_k(*k));
-            }
-            Op::Cal(f) => {
-                prop_assert_eq!(
-                    client.count_at_least(*f).expect("CAL"),
-                    oracle.count_at_least(*f)
-                );
-            }
+        },
+        Op::Mode => Answer::Pair(oracle_mode(oracle)),
+        Op::Least => Answer::Pair(oracle_least(oracle)),
+        Op::Freq(x) if *x >= M => Answer::Err(outside(*x)),
+        Op::Freq(x) => Answer::Freq(oracle.frequency(*x)),
+        Op::Median => Answer::Median(oracle.median()),
+        Op::TopK(k) => Answer::TopK(oracle.top_k(*k)),
+        Op::Cal(f) => Answer::Cal(oracle.count_at_least(*f)),
+    }
+}
+
+/// Runs `ops` on one connection in `proto`, returning every answer.
+fn run_session(addr: &str, proto: WireProto, ops: &[Op]) -> Vec<Answer> {
+    let mut client = Client::connect_with(addr, proto).expect("connect");
+    assert_eq!(client.proto(), proto);
+    let answers = ops.iter().map(|op| ask(&mut client, op)).collect();
+    client.quit().expect("QUIT");
+    answers
+}
+
+/// The counters a session moves: the `STATS` fields below plus every
+/// verb's `sprofile_request_duration_us_count`.
+fn counters(addr: &str) -> BTreeMap<String, u64> {
+    let mut c = Client::connect(addr).expect("probe connect");
+    let stats = c.stats().expect("STATS");
+    let metrics = c.metrics().expect("METRICS");
+    c.quit().expect("QUIT");
+    let mut out = BTreeMap::new();
+    for key in ["queries", "batches", "batch_tuples", "applied", "errors"] {
+        let value = Client::stats_field(&stats, key).unwrap_or_else(|| panic!("{key}"));
+        out.insert(key.to_string(), value);
+    }
+    for line in metrics.lines() {
+        if let Some(rest) = line.strip_prefix("sprofile_request_duration_us_count{verb=\"") {
+            let (verb, count) = rest.split_once("\"} ").expect("labelled sample");
+            out.insert(format!("{verb} requests"), count.parse().expect("count"));
         }
     }
-    Ok(())
+    out
+}
+
+/// `ops` over `proto` on `addr`: the answers, and how far the session
+/// moved each counter.
+fn measured_session(addr: &str, proto: WireProto, ops: &[Op]) -> (Vec<Answer>, Vec<(String, u64)>) {
+    let before = counters(addr);
+    let answers = run_session(addr, proto, ops);
+    let delta = counters(addr)
+        .into_iter()
+        .map(|(key, after)| {
+            let moved = after - before.get(&key).copied().unwrap_or(0);
+            (key, moved)
+        })
+        .collect();
+    (answers, delta)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Random well-formed sessions, each upgrading to binary on its own
-    /// connection, agree with the oracle on every query for both
-    /// backends — the exact property the text suite proves, over the
-    /// binary framing.
+    /// Random sessions, each upgrading to binary on its own connection,
+    /// agree with the oracle on every answer for both backends — the
+    /// exact property the text suite proves, over the binary framing.
+    /// The same session replayed over text on a twin server gives the
+    /// same decoded answers, `ERR`s included, and moves the same
+    /// counters.
     #[test]
-    fn random_bin_sessions_agree_with_the_oracle(
-        ops in prop::collection::vec(op_strategy(), 1..40),
-    ) {
+    fn random_bin_sessions_agree_with_the_oracle(ops in session_strategy()) {
         let mut ctx = ctx();
-        for but in &mut ctx.backends {
-            let mut client =
-                Client::connect_with(but.addr.as_str(), WireProto::Bin).expect("connect");
-            prop_assert_eq!(client.proto(), WireProto::Bin);
-            apply_session(&mut client, &mut but.oracle, &ops)?;
-            client.quit().expect("QUIT");
+        for twins in &mut ctx.twins {
+            let (bin, bin_moved) = measured_session(&twins.bin, WireProto::Bin, &ops);
+            let (text, text_moved) = measured_session(&twins.text, WireProto::Text, &ops);
+            let expected: Vec<Answer> =
+                ops.iter().map(|op| expect(&mut twins.oracle, op)).collect();
+            prop_assert_eq!(&bin, &expected);
+            prop_assert_eq!(&text, &bin);
+            prop_assert_eq!(text_moved, bin_moved);
         }
     }
 }
@@ -484,6 +596,88 @@ fn overflow_connections_are_shed_with_a_typed_err() {
     assert_eq!(Client::stats_field(&stats, "conns"), Some(2), "{stats}");
     c1.quit().expect("QUIT 1");
     c2.quit().expect("QUIT 2");
+    assert_eq!(server.shutdown(), 0);
+}
+
+/// Connects `n` raw clients and waits until the server has placed
+/// every one: registered (counted in `conns`) or shed.
+fn connect_all(server: &Server, n: usize) -> Vec<RawBin> {
+    let addr = server.local_addr().to_string();
+    let clients: Vec<RawBin> = (0..n).map(|_| RawBin::connect_raw(&addr)).collect();
+    let metrics = server.metrics();
+    for _ in 0..500 {
+        if metrics.conns.get() + metrics.shed.get() == n as u64 {
+            return clients;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("the server never placed all {n} connections");
+}
+
+/// Sends `STATS` on every client and returns each one's reply line.
+fn stats_round_trips(clients: &mut [RawBin]) -> Vec<String> {
+    clients
+        .iter_mut()
+        .map(|c| {
+            c.write(b"STATS\n");
+            c.read_line()
+        })
+        .collect()
+}
+
+/// `--max-conns` is one budget for the whole server, however the
+/// workers split the accepted connections: 6 connections fit under 8
+/// on 4 workers.
+#[test]
+fn max_conns_is_one_budget_across_workers() {
+    let server = Server::start(
+        ServerConfig {
+            m: M,
+            workers: 4,
+            max_conns: 8,
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("bind server");
+    let mut clients = connect_all(&server, 6);
+    for reply in stats_round_trips(&mut clients) {
+        let stats = reply
+            .strip_prefix("STATS ")
+            .unwrap_or_else(|| panic!("expected STATS, got {reply}"));
+        assert_eq!(Client::stats_field(stats, "shed"), Some(0), "{stats}");
+        assert_eq!(Client::stats_field(stats, "conns"), Some(6), "{stats}");
+    }
+    assert_eq!(server.shutdown(), 0);
+}
+
+/// Past the budget exactly the overflow is shed, whichever workers the
+/// connections land on: 4 connections against `--max-conns 2` on 4
+/// workers.
+#[test]
+fn connections_past_the_budget_are_shed_exactly() {
+    let server = Server::start(
+        ServerConfig {
+            m: M,
+            workers: 4,
+            max_conns: 2,
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("bind server");
+    let mut clients = connect_all(&server, 4);
+    let replies = stats_round_trips(&mut clients);
+    let shed = replies.iter().filter(|r| *r == "ERR overloaded").count();
+    let served: Vec<&str> = replies
+        .iter()
+        .filter_map(|r| r.strip_prefix("STATS "))
+        .collect();
+    assert_eq!((shed, served.len()), (2, 2), "{replies:?}");
+    for stats in served {
+        assert_eq!(Client::stats_field(stats, "conns"), Some(2), "{stats}");
+        assert_eq!(Client::stats_field(stats, "shed"), Some(2), "{stats}");
+    }
     assert_eq!(server.shutdown(), 0);
 }
 
