@@ -1,7 +1,7 @@
 //! TCP server ingestion throughput: the full wire path (connect →
-//! `BATCH`/`ADD` frames → per-connection write batching → backend) at
-//! two batch sizes × two backends × both wire protocols, via the real
-//! load generator. The binary protocol pipelines `BATCH` frames, so at
+//! `BATCH`/`ADD` frames → per-connection write batching → 8-shard
+//! profile) at two batch sizes × both wire protocols, via the real load
+//! generator. The binary protocol pipelines `BATCH` frames, so at
 //! small batch sizes it is not round-trip-bound like text.
 //!
 //! Besides the criterion group, `record_json` re-times the matrix with a
@@ -27,21 +27,16 @@ const EVENTS_PER_THREAD: usize = 16_384;
 /// `BATCH` frame sizes swept (the acceptance floor: ≥ 2).
 const BATCH_SIZES: [usize; 2] = [64, 4_096];
 
-const BACKENDS: [(&str, BackendKind); 2] = [
-    ("sharded8", BackendKind::Sharded { shards: 8 }),
-    ("pipeline", BackendKind::Pipeline),
-];
+/// Shard count of the benched server.
+const SHARDS: usize = 8;
+/// Prefix of every JSON key: the server's shape.
+const NAME: &str = "sharded8";
 
 const PROTOS: [(&str, WireProto); 2] = [("text", WireProto::Text), ("bin", WireProto::Bin)];
 
 /// One full ingestion run over loopback TCP; returns tuples/second and
 /// the client-side latency summary.
-fn run_once(
-    kind: BackendKind,
-    batch: usize,
-    proto: WireProto,
-    obs_off: bool,
-) -> (f64, LatencySummary) {
+fn run_once(batch: usize, proto: WireProto, obs_off: bool) -> (f64, LatencySummary) {
     let obs = if obs_off {
         ObsConfig {
             level: None,
@@ -53,7 +48,7 @@ fn run_once(
     let server = Server::start(
         ServerConfig {
             m: M,
-            backend: kind,
+            backend: BackendKind::Sharded { shards: SHARDS },
             workers: THREADS,
             flush_every: 512,
             obs,
@@ -81,14 +76,12 @@ fn bench_server(c: &mut Criterion) {
     let mut group = c.benchmark_group("server_ingest");
     group.throughput(Throughput::Elements((THREADS * EVENTS_PER_THREAD) as u64));
     group.sample_size(5);
-    for (name, kind) in BACKENDS {
-        for (pname, proto) in PROTOS {
-            for batch in BATCH_SIZES {
-                let id = BenchmarkId::new(format!("{name}_{pname}"), batch);
-                group.bench_with_input(id, &batch, |b, &batch| {
-                    b.iter(|| run_once(kind, batch, proto, false));
-                });
-            }
+    for (pname, proto) in PROTOS {
+        for batch in BATCH_SIZES {
+            let id = BenchmarkId::new(format!("{NAME}_{pname}"), batch);
+            group.bench_with_input(id, &batch, |b, &batch| {
+                b.iter(|| run_once(batch, proto, false));
+            });
         }
     }
     group.finish();
@@ -103,16 +96,9 @@ struct Summary {
 }
 
 impl Summary {
-    fn push_cell(
-        &mut self,
-        name: &str,
-        pname: &str,
-        batch: usize,
-        best: f64,
-        lat: &LatencySummary,
-    ) {
+    fn push_cell(&mut self, pname: &str, batch: usize, best: f64, lat: &LatencySummary) {
         self.latencies.push(format!(
-            "    \"{name}_{pname}.{batch}\": {{\"p50\": {}, \"p99\": {}, \
+            "    \"{NAME}_{pname}.{batch}\": {{\"p50\": {}, \"p99\": {}, \
              \"p999\": {}, \"max\": {}}}",
             lat.p50_us, lat.p99_us, lat.p999_us, lat.max_us
         ));
@@ -148,8 +134,8 @@ fn best_of(runs: Vec<(f64, LatencySummary)>) -> (f64, LatencySummary) {
 
 /// Times the matrix (best of N) and writes `BENCH_server.json` (path
 /// overridable with `BENCH_SERVER_OUT`). Throughput keys keep the bare
-/// backend name for the text protocol — the committed baselines predate
-/// the binary protocol — and suffix `_bin` for binary. Latency cells
+/// [`NAME`] for the text protocol — the committed baselines predate the
+/// binary protocol — and suffix `_bin` for binary. Latency cells
 /// come from the best-throughput run of each matrix point.
 fn record_json(_c: &mut Criterion) {
     // Best-of-N absorbs scheduler noise; the obs-overhead CI gate bumps
@@ -169,37 +155,35 @@ fn record_json(_c: &mut Criterion) {
     let obs_off_out = std::env::var("SPROFILE_BENCH_OBS_OFF_OUT").ok();
     let mut on = Summary::default();
     let mut off = Summary::default();
-    for (name, kind) in BACKENDS {
-        for (pname, proto) in PROTOS {
-            let key = if proto == WireProto::Text {
-                name.to_string()
-            } else {
-                format!("{name}_{pname}")
-            };
-            for &batch in BATCH_SIZES.iter() {
-                let mut on_runs = Vec::with_capacity(repeats);
-                let mut off_runs = Vec::with_capacity(repeats);
-                for i in 0..repeats {
-                    let off_first = obs_off_out.is_some() && i % 2 == 0;
-                    if off_first {
-                        off_runs.push(run_once(kind, batch, proto, true));
-                    }
-                    on_runs.push(run_once(kind, batch, proto, false));
-                    if obs_off_out.is_some() && !off_first {
-                        off_runs.push(run_once(kind, batch, proto, true));
-                    }
+    for (pname, proto) in PROTOS {
+        let key = if proto == WireProto::Text {
+            NAME.to_string()
+        } else {
+            format!("{NAME}_{pname}")
+        };
+        for &batch in BATCH_SIZES.iter() {
+            let mut on_runs = Vec::with_capacity(repeats);
+            let mut off_runs = Vec::with_capacity(repeats);
+            for i in 0..repeats {
+                let off_first = obs_off_out.is_some() && i % 2 == 0;
+                if off_first {
+                    off_runs.push(run_once(batch, proto, true));
                 }
-                let (best, lat) = best_of(on_runs);
-                on.push_cell(name, pname, batch, best, &lat);
-                if obs_off_out.is_some() {
-                    let (best, lat) = best_of(off_runs);
-                    off.push_cell(name, pname, batch, best, &lat);
+                on_runs.push(run_once(batch, proto, false));
+                if obs_off_out.is_some() && !off_first {
+                    off_runs.push(run_once(batch, proto, true));
                 }
             }
-            on.close_key(&key, BATCH_SIZES.len());
+            let (best, lat) = best_of(on_runs);
+            on.push_cell(pname, batch, best, &lat);
             if obs_off_out.is_some() {
-                off.close_key(&key, BATCH_SIZES.len());
+                let (best, lat) = best_of(off_runs);
+                off.push_cell(pname, batch, best, &lat);
             }
+        }
+        on.close_key(&key, BATCH_SIZES.len());
+        if obs_off_out.is_some() {
+            off.close_key(&key, BATCH_SIZES.len());
         }
     }
     let path = std::env::var("BENCH_SERVER_OUT")

@@ -1,8 +1,8 @@
 //! Sweep of the server's per-connection write-buffer flush threshold
 //! (`--flush`): the ROADMAP flagged the 256-tuple default as an
 //! unmeasured guess. Runs the `server` bench's loopback ingestion matrix
-//! at several thresholds × both backends and prints tuples/s, so the
-//! default can be picked from data.
+//! at several thresholds on an 8-shard server and prints tuples/s, so
+//! the default can be picked from data.
 //!
 //! ```text
 //! cargo run -p sprofile-bench --release --bin flush_sweep [-- --repeats N]
@@ -23,11 +23,11 @@ const FLUSH: [usize; 4] = [64, 256, 1024, 4096];
 /// batches bypass it: each frame flushes immediately.)
 const BATCH: usize = 64;
 
-fn run_once(kind: BackendKind, flush: usize) -> f64 {
+fn run_once(flush: usize) -> f64 {
     let server = Server::start(
         ServerConfig {
             m: M,
-            backend: kind,
+            backend: BackendKind::Sharded { shards: 8 },
             workers: THREADS,
             flush_every: flush,
             ..ServerConfig::default()
@@ -62,15 +62,9 @@ fn main() {
         "flush sweep: m={M} threads={THREADS} n={EVENTS_PER_THREAD} batch={BATCH} \
          best-of-{repeats} (tuples/s)"
     );
-    println!("{:>10} {:>12} {:>12}", "flush", "sharded8", "pipeline");
+    println!("{:>10} {:>12}", "flush", "sharded8");
     for flush in FLUSH {
-        let mut row = Vec::new();
-        for kind in [BackendKind::Sharded { shards: 8 }, BackendKind::Pipeline] {
-            let best = (0..repeats)
-                .map(|_| run_once(kind, flush))
-                .fold(0.0f64, f64::max);
-            row.push(best);
-        }
-        println!("{:>10} {:>12.0} {:>12.0}", flush, row[0], row[1]);
+        let best = (0..repeats).map(|_| run_once(flush)).fold(0.0f64, f64::max);
+        println!("{:>10} {:>12.0}", flush, best);
     }
 }

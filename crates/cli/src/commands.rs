@@ -409,7 +409,7 @@ pub struct ServeOpts {
     pub addr: String,
     /// Universe size.
     pub m: u32,
-    /// Engine behind the socket.
+    /// Shard count of the profile behind the socket (`--shards`).
     pub backend: BackendKind,
     /// Event-loop worker threads (`--workers`).
     pub workers: usize,
@@ -500,10 +500,7 @@ pub fn serve<W: Write>(opts: &ServeOpts, out: &mut W) -> Result<(), CommandError
         },
         opts.addr.as_str(),
     )?;
-    let backend = match opts.backend {
-        BackendKind::Sharded { shards } => format!("sharded({shards})"),
-        BackendKind::Pipeline => "pipeline".to_string(),
-    };
+    let BackendKind::Sharded { shards } = opts.backend;
     let wal = match &opts.wal {
         Some(w) => format!(" wal={} sync={}", w.dir.display(), w.sync.name()),
         None => String::new(),
@@ -540,7 +537,7 @@ pub fn serve<W: Write>(opts: &ServeOpts, out: &mut W) -> Result<(), CommandError
     };
     writeln!(
         out,
-        "listening on {} backend={backend} m={} workers={} max-conns={} proto={} \
+        "listening on {} backend=sharded({shards}) m={} workers={} max-conns={} proto={} \
          flush={}{wal}{role}{sync}{elect}{cluster}{log}{metrics}",
         server.local_addr(),
         opts.m,
@@ -862,12 +859,10 @@ fn render_top<W: Write>(
         writeln!(out, "  (idle)")?;
     }
     // Phase breakdown: each phase's share of the interval's total
-    // request time. The `flush` series is a composite of the WAL
-    // phases and would double-count, so it is left out.
+    // request time.
     let deltas: Vec<(&str, u64)> = cur
         .phases
         .iter()
-        .filter(|(phase, _)| phase != "flush")
         .map(|(phase, sum)| {
             let was = prev
                 .phases
@@ -1170,7 +1165,7 @@ sprofile_request_duration_us_count{verb=\"mode\"} 2\n\
 sprofile_phase_duration_us_sum{phase=\"parse\"} 300\n\
 sprofile_phase_duration_us_count{phase=\"parse\"} 12\n\
 sprofile_phase_duration_us_sum{phase=\"fsync\"} 600\n\
-sprofile_phase_duration_us_sum{phase=\"flush\"} 600\n\
+sprofile_phase_duration_us_sum{phase=\"reply\"} 600\n\
 sprofile_uptime_seconds 3\n";
         let s = TopSample::parse(payload);
         assert_eq!(s.verbs.len(), 2, "{:?}", s.verbs);
@@ -1184,19 +1179,11 @@ sprofile_uptime_seconds 3\n";
     fn render_top_shows_interval_deltas_and_phase_shares() {
         let prev = TopSample {
             verbs: vec![("add".into(), 10, 900), ("mode".into(), 2, 40)],
-            phases: vec![
-                ("parse".into(), 300),
-                ("fsync".into(), 600),
-                ("flush".into(), 600),
-            ],
+            phases: vec![("parse".into(), 300), ("fsync".into(), 600)],
         };
         let cur = TopSample {
             verbs: vec![("add".into(), 30, 2900), ("mode".into(), 2, 40)],
-            phases: vec![
-                ("parse".into(), 800),
-                ("fsync".into(), 2100),
-                ("flush".into(), 2100),
-            ],
+            phases: vec![("parse".into(), 800), ("fsync".into(), 2100)],
         };
         let mut out = Vec::new();
         render_top(
@@ -1217,12 +1204,10 @@ sprofile_uptime_seconds 3\n";
         );
         // An idle verb renders no row.
         assert!(!text.contains("mode"), "{text}");
-        // Phase deltas: parse 500 of 2000 total = 25%, fsync 75%; the
-        // flush composite is excluded from the share table.
+        // Phase deltas: parse 500 of 2000 total = 25%, fsync 75%.
         assert!(text.contains("parse"), "{text}");
         assert!(text.contains("25.0%"), "{text}");
         assert!(text.contains("75.0%"), "{text}");
-        assert!(!text.contains("flush"), "{text}");
         // The WAL gauges ride along from STATS.
         assert!(
             text.contains("wal: wal_fsync_p99_us=120 wal_group_batch_avg=3"),
@@ -1588,7 +1573,7 @@ sprofile_uptime_seconds 3\n";
         let opts = ServeOpts {
             addr: "127.0.0.1:0".into(),
             m: 64,
-            backend: BackendKind::Pipeline,
+            backend: BackendKind::Sharded { shards: 1 },
             workers: 2,
             max_conns: 64,
             proto: WireProto::Text,
@@ -1637,7 +1622,7 @@ sprofile_uptime_seconds 3\n";
         drop(c);
         handle.join().unwrap().unwrap();
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        assert!(text.contains("backend=pipeline m=64"), "{text}");
+        assert!(text.contains("backend=sharded(1) m=64"), "{text}");
         assert!(text.contains("shutdown: 2 tuples applied"), "{text}");
     }
 

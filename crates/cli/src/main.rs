@@ -11,6 +11,8 @@
 //! [`textio`] for aliases). `profile` and `watch` read stdin when no file
 //! is given.
 
+use std::cell::RefCell;
+use std::collections::HashSet;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::process::ExitCode;
@@ -36,8 +38,8 @@ fn usage() -> &'static str {
      sprofile ingest   [FILE] --m <M> [--chunk <N>] [--top <K>] [--histogram]\n  \
      sprofile watch    [FILE] --m <M> [--every <N>] [--top <K>]\n  \
      sprofile hh       [FILE] --m <M> [--counters <K>] [--phi <F>]\n  \
-     sprofile serve    --addr <HOST:PORT> --m <M> [--backend <sharded|pipeline>]\n                    \
-     [--shards <P>] [--workers <N>] [--max-conns <N>] [--proto <text|bin>]\n                    \
+     sprofile serve    --addr <HOST:PORT> --m <M> [--shards <P>] [--workers <N>]\n                    \
+     [--max-conns <N>] [--proto <text|bin>]\n                    \
      [--flush <B>] [--snapshot-dir <DIR>]\n                    \
      [--wal <DIR>] [--sync <always|interval|never>] [--sync-interval-ms <MS>]\n                    \
      [--segment-bytes <B>] [--checkpoint-every <TUPLES>]\n                    \
@@ -68,7 +70,8 @@ fn usage() -> &'static str {
      sprofile checkpoint --wal <DIR> --m <M>\n\n\
      Event format: one per line, 'a <id>' to add, 'r <id>' to remove\n\
      ('add'/'+' and 'remove'/'rm'/'-' also work); '#' starts a comment.\n\
-     FILE defaults to stdin. `serve` runs until a client sends SHUTDOWN\n\
+     FILE defaults to stdin. A flag the subcommand does not use is an error.\n\
+     `serve` runs until a client sends SHUTDOWN\n\
      (e.g. `sprofile loadgen --shutdown` or `printf 'SHUTDOWN\\n' | nc`);\n\
      with --wal it recovers its state from the WAL directory first.\n\
      With --replica-of it follows that primary read-only (writes get\n\
@@ -99,10 +102,13 @@ fn usage() -> &'static str {
      `sprofile top` renders a live per-verb/per-phase view."
 }
 
-/// Tiny flag parser: collects `--key value` pairs plus positional args.
+/// Tiny flag parser: collects `--key value` pairs plus positional args,
+/// and remembers every key a subcommand looks up, so
+/// [`Args::reject_unused`] can refuse the flags it never read.
 struct Args {
     positional: Vec<String>,
     flags: Vec<(String, Option<String>)>,
+    looked_up: RefCell<HashSet<String>>,
 }
 
 impl Args {
@@ -126,10 +132,32 @@ impl Args {
                 i += 1;
             }
         }
-        Args { positional, flags }
+        Args {
+            positional,
+            flags,
+            looked_up: RefCell::default(),
+        }
+    }
+
+    fn note(&self, key: &str) {
+        self.looked_up.borrow_mut().insert(key.to_string());
+    }
+
+    /// Fails on the first flag `cmd` never looked up — a typo such as
+    /// `--max-con` must not be silently ignored. Each subcommand calls
+    /// it once its options are read, before it starts work.
+    fn reject_unused(&self, cmd: &str) -> Result<(), String> {
+        let looked_up = self.looked_up.borrow();
+        match self.flags.iter().find(|(k, _)| !looked_up.contains(k)) {
+            Some((key, _)) => Err(format!(
+                "sprofile {cmd}: unexpected flag --{key} (see sprofile --help)"
+            )),
+            None => Ok(()),
+        }
     }
 
     fn get(&self, key: &str) -> Option<&str> {
+        self.note(key);
         self.flags
             .iter()
             .rev()
@@ -138,6 +166,7 @@ impl Args {
     }
 
     fn has(&self, key: &str) -> bool {
+        self.note(key);
         self.flags.iter().any(|(k, _)| k == key)
     }
 
@@ -177,8 +206,7 @@ fn open_input(path: Option<&str>) -> io::Result<Box<dyn BufRead>> {
     }
 }
 
-fn run() -> Result<(), String> {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
+fn run(raw: &[String]) -> Result<(), String> {
     let Some(cmd) = raw.first().cloned() else {
         return Err(usage().to_string());
     };
@@ -198,6 +226,7 @@ fn run() -> Result<(), String> {
                 n: args.get_parsed("n", 1_000_000u64)?,
                 seed: args.get_parsed("seed", 20190612u64)?,
             };
+            args.reject_unused(&cmd)?;
             let stdout = io::stdout();
             let mut out = BufWriter::new(stdout.lock());
             generate(&opts, &mut out).map_err(|e| e.to_string())?;
@@ -219,6 +248,7 @@ fn run() -> Result<(), String> {
                 top: args.get_parsed("top", 10u32)?,
                 histogram: args.has("histogram"),
             };
+            args.reject_unused(&cmd)?;
             let input = open_input(args.positional.first().map(String::as_str))
                 .map_err(|e| e.to_string())?;
             let stdout = io::stdout();
@@ -234,6 +264,7 @@ fn run() -> Result<(), String> {
                 histogram: args.has("histogram"),
             };
             let chunk = args.get_parsed_positive("chunk", 8_192usize)?;
+            args.reject_unused(&cmd)?;
             let input = open_input(args.positional.first().map(String::as_str))
                 .map_err(|e| e.to_string())?;
             let stdout = io::stdout();
@@ -246,6 +277,7 @@ fn run() -> Result<(), String> {
             let m = args.get_parsed_positive("m", 1_000_000u32)?;
             let every = args.get_parsed_positive("every", 100_000u64)?;
             let top = args.get_parsed("top", 5u32)?;
+            args.reject_unused(&cmd)?;
             let input = open_input(args.positional.first().map(String::as_str))
                 .map_err(|e| e.to_string())?;
             let stdout = io::stdout();
@@ -256,9 +288,6 @@ fn run() -> Result<(), String> {
         }
         "serve" => {
             let shards = args.get_parsed_positive("shards", 8usize)?;
-            let backend = args.get("backend").unwrap_or("sharded");
-            let backend = BackendKind::parse(backend, shards)
-                .ok_or_else(|| format!("unknown backend '{backend}' (sharded or pipeline)"))?;
             let wal = match args.get("wal") {
                 None => {
                     for key in [
@@ -361,7 +390,7 @@ fn run() -> Result<(), String> {
             let opts = ServeOpts {
                 addr: args.get("addr").unwrap_or("127.0.0.1:7979").to_string(),
                 m: args.get_parsed_positive("m", 1_048_576u32)?,
-                backend,
+                backend: BackendKind::Sharded { shards },
                 workers: args.get_parsed_positive("workers", 4usize)?,
                 max_conns: args.get_parsed_positive("max-conns", 1024usize)?,
                 proto: parse_proto(&args)?,
@@ -382,6 +411,7 @@ fn run() -> Result<(), String> {
                 slow_ms,
                 metrics_addr: args.get("metrics-addr").map(str::to_string),
             };
+            args.reject_unused(&cmd)?;
             let stdout = io::stdout();
             let mut out = stdout.lock();
             serve(&opts, &mut out).map_err(|e| e.to_string())?;
@@ -390,6 +420,7 @@ fn run() -> Result<(), String> {
         }
         "promote" => {
             let addr = args.get("addr").unwrap_or("127.0.0.1:7979");
+            args.reject_unused(&cmd)?;
             let stdout = io::stdout();
             let mut out = BufWriter::new(stdout.lock());
             promote(addr, &mut out).map_err(|e| e.to_string())?;
@@ -409,6 +440,7 @@ fn run() -> Result<(), String> {
                 .parse::<u32>()
                 .map_err(|_| "invalid value for --target".to_string())?;
             let trace = args.get_parsed("trace", 0u64)?;
+            args.reject_unused(&cmd)?;
             let stdout = io::stdout();
             let mut out = BufWriter::new(stdout.lock());
             migrate(addr, slice, target, trace, &mut out).map_err(|e| e.to_string())?;
@@ -417,6 +449,7 @@ fn run() -> Result<(), String> {
         }
         "map" => {
             let addr = args.get("addr").unwrap_or("127.0.0.1:7979");
+            args.reject_unused(&cmd)?;
             let stdout = io::stdout();
             let mut out = BufWriter::new(stdout.lock());
             map_show(addr, &mut out).map_err(|e| e.to_string())?;
@@ -425,25 +458,32 @@ fn run() -> Result<(), String> {
         }
         "stats" => {
             let addr = args.get("addr").unwrap_or("127.0.0.1:7979");
-            let stdout = io::stdout();
-            let mut out = BufWriter::new(stdout.lock());
-            if args.has("watch") {
+            let watching = if args.has("watch") {
                 let every_ms = args.get_parsed_positive("every-ms", 1_000u64)?;
                 let count = if args.has("count") {
                     Some(args.get_parsed_positive("count", 10u64)?)
                 } else {
                     None
                 };
-                stats_watch(addr, every_ms, count, &mut out).map_err(|e| e.to_string())?;
+                Some((every_ms, count))
             } else {
-                stats_show(addr, &mut out).map_err(|e| e.to_string())?;
+                None
+            };
+            args.reject_unused(&cmd)?;
+            let stdout = io::stdout();
+            let mut out = BufWriter::new(stdout.lock());
+            match watching {
+                Some((every_ms, count)) => stats_watch(addr, every_ms, count, &mut out),
+                None => stats_show(addr, &mut out),
             }
+            .map_err(|e| e.to_string())?;
             out.flush().map_err(|e| e.to_string())?;
             Ok(())
         }
         "logtail" => {
             let addr = args.get("addr").unwrap_or("127.0.0.1:7979");
             let n = args.get_parsed_positive("n", 100usize)?;
+            args.reject_unused(&cmd)?;
             let stdout = io::stdout();
             let mut out = BufWriter::new(stdout.lock());
             logtail_show(addr, n, &mut out).map_err(|e| e.to_string())?;
@@ -452,6 +492,7 @@ fn run() -> Result<(), String> {
         }
         "metrics" => {
             let addr = args.get("addr").unwrap_or("127.0.0.1:7979");
+            args.reject_unused(&cmd)?;
             let stdout = io::stdout();
             let mut out = BufWriter::new(stdout.lock());
             metrics_show(addr, &mut out).map_err(|e| e.to_string())?;
@@ -462,6 +503,7 @@ fn run() -> Result<(), String> {
             let addr = args.get("addr").unwrap_or("127.0.0.1:7979");
             // 0 (the default) dumps the whole flight recorder.
             let n = args.get_parsed("n", 0usize)?;
+            args.reject_unused(&cmd)?;
             let stdout = io::stdout();
             let mut out = BufWriter::new(stdout.lock());
             spans_show(addr, n, &mut out).map_err(|e| e.to_string())?;
@@ -476,6 +518,7 @@ fn run() -> Result<(), String> {
             } else {
                 None
             };
+            args.reject_unused(&cmd)?;
             let clear = io::IsTerminal::is_terminal(&io::stdout());
             let stdout = io::stdout();
             let mut out = stdout.lock();
@@ -493,9 +536,11 @@ fn run() -> Result<(), String> {
                 seed: args.get_parsed("seed", 20190612u64)?,
                 proto: parse_proto(&args)?,
             };
+            let shutdown = args.has("shutdown");
+            args.reject_unused(&cmd)?;
             let stdout = io::stdout();
             let mut out = BufWriter::new(stdout.lock());
-            loadgen(&cfg, args.has("shutdown"), &mut out).map_err(|e| e.to_string())?;
+            loadgen(&cfg, shutdown, &mut out).map_err(|e| e.to_string())?;
             out.flush().map_err(|e| e.to_string())?;
             Ok(())
         }
@@ -509,6 +554,7 @@ fn run() -> Result<(), String> {
                 seed: args.get_parsed("seed", 20190612u64)?,
                 proto: parse_proto(&args)?,
             };
+            args.reject_unused(&cmd)?;
             let stdout = io::stdout();
             let mut out = BufWriter::new(stdout.lock());
             let result = verify_server(&cfg, &mut out);
@@ -522,6 +568,7 @@ fn run() -> Result<(), String> {
                 .to_string();
             let m = args.get_parsed_positive("m", 1_048_576u32)?;
             let top = args.get_parsed("top", 10u32)?;
+            args.reject_unused(&cmd)?;
             let stdout = io::stdout();
             let mut out = BufWriter::new(stdout.lock());
             recover_report(std::path::Path::new(&dir), m, top, &mut out)
@@ -535,6 +582,7 @@ fn run() -> Result<(), String> {
                 .ok_or("wal-dump needs --wal <DIR>")?
                 .to_string();
             let limit = args.get_parsed_positive("limit", 1_000usize)?;
+            args.reject_unused(&cmd)?;
             let stdout = io::stdout();
             let mut out = BufWriter::new(stdout.lock());
             wal_dump(std::path::Path::new(&dir), limit, &mut out).map_err(|e| e.to_string())?;
@@ -547,6 +595,7 @@ fn run() -> Result<(), String> {
                 .ok_or("checkpoint needs --wal <DIR>")?
                 .to_string();
             let m = args.get_parsed_positive("m", 1_048_576u32)?;
+            args.reject_unused(&cmd)?;
             let stdout = io::stdout();
             let mut out = BufWriter::new(stdout.lock());
             checkpoint_compact(std::path::Path::new(&dir), m, &mut out)
@@ -563,6 +612,7 @@ fn run() -> Result<(), String> {
             if !(0.0..1.0).contains(&opts.phi) || opts.phi <= 0.0 {
                 return Err("--phi must lie in (0, 1)".into());
             }
+            args.reject_unused(&cmd)?;
             let input = open_input(args.positional.first().map(String::as_str))
                 .map_err(|e| e.to_string())?;
             let stdout = io::stdout();
@@ -576,7 +626,8 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    match run(&raw) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");
@@ -649,6 +700,36 @@ mod tests {
         let a = args(&["--m", "-3"]);
         let err = a.get_parsed_positive("m", 1u32).unwrap_err();
         assert!(err.contains("invalid value"), "{err}");
+    }
+
+    fn argv(s: &[&str]) -> Vec<String> {
+        s.iter().map(|x| x.to_string()).collect()
+    }
+
+    // `--addr` carries no port in the two tests below, so a `serve` that
+    // ignored the flag under test would fail at bind instead, with an
+    // error naming neither the flag nor the subcommand.
+
+    #[test]
+    fn serve_rejects_a_misspelt_flag() {
+        let raw = argv(&[
+            "serve",
+            "--addr",
+            "127.0.0.1",
+            "--m",
+            "64",
+            "--max-con",
+            "2",
+        ]);
+        let err = run(&raw).unwrap_err();
+        assert!(err.contains("--max-con") && err.contains("serve"), "{err}");
+    }
+
+    #[test]
+    fn serve_rejects_the_removed_backend_flag() {
+        let raw = argv(&["serve", "--addr", "127.0.0.1", "--backend", "pipeline"]);
+        let err = run(&raw).unwrap_err();
+        assert!(err.contains("--backend") && err.contains("serve"), "{err}");
     }
 
     #[test]

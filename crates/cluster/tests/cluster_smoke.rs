@@ -125,7 +125,7 @@ fn a_three_node_cluster_agrees_with_the_oracle_through_a_live_migrate() {
     let addrs = reserve_addrs(3);
     let kinds = [
         BackendKind::Sharded { shards: 2 },
-        BackendKind::Pipeline,
+        BackendKind::Sharded { shards: 1 },
         BackendKind::Sharded { shards: 3 },
     ];
     let servers: Vec<Server> = (0..3u32)

@@ -1,266 +1,82 @@
-//! Backend abstraction: one enum over the two deployment shapes in
-//! `sprofile-concurrent`, so the connection handler is written once.
+//! The server's engine: one [`ShardedProfile`], shared by every
+//! connection worker as an `Arc`. An update locks one universe shard
+//! and has been applied when it returns, so a read issued after a flush
+//! always observes it — the server needs no barrier anywhere.
 //!
-//! * [`BackendKind::Sharded`] — lock-per-shard [`ShardedProfile`];
-//!   queries combine per-shard snapshots.
-//! * [`BackendKind::Pipeline`] — single-writer [`PipelineProfiler`];
-//!   queries are linearised channel round-trips.
+//! What the server needs beyond the profile's own API lives here:
+//! building the engine (fresh, or resumed from a recovered
+//! [`SProfile`]), installing a shipped state wholesale, and
+//! round-trip-validated snapshot bytes.
 
-use std::sync::Arc;
+use sprofile::{SProfile, SnapshotError};
+use sprofile_concurrent::ShardedProfile;
 
-use sprofile::{SProfile, SnapshotError, Tuple};
-use sprofile_concurrent::{PipelineHandle, PipelineProfiler, ShardedProfile};
-
-/// Which engine a server should run, with its knobs.
+/// The engine shape a server runs, with its knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BackendKind {
-    /// Universe-partitioned shards behind mutexes.
+    /// Universe-partitioned shards behind mutexes (`shards: 1` is the
+    /// single-lock shape); queries combine per-shard answers.
     Sharded {
         /// Number of shards.
         shards: usize,
     },
-    /// Single owner thread fed through a channel.
-    Pipeline,
 }
 
 impl BackendKind {
-    /// Parses `sharded` / `pipeline` (case-insensitive); `shards` is the
-    /// shard count a sharded backend should use.
-    pub fn parse(s: &str, shards: usize) -> Option<BackendKind> {
-        match s.to_ascii_lowercase().as_str() {
-            "sharded" => Some(BackendKind::Sharded { shards }),
-            "pipeline" => Some(BackendKind::Pipeline),
-            _ => None,
-        }
+    /// A fresh engine over a universe of `m` objects.
+    pub(crate) fn build(self, m: u32) -> ShardedProfile {
+        let BackendKind::Sharded { shards } = self;
+        ShardedProfile::new(m, shards)
+    }
+
+    /// An engine seeded with `profile`'s state — the crash-recovery
+    /// path: WAL replay produces a single [`SProfile`], and the
+    /// configured shape resumes from it.
+    pub fn recover(self, profile: &SProfile) -> ShardedProfile {
+        let BackendKind::Sharded { shards } = self;
+        ShardedProfile::from_frequencies(&frequencies(profile), shards)
     }
 }
 
-/// A cloneable per-connection view of the engine. All methods validate
-/// nothing — the server validates ids against `m` before calling in, so
-/// the backends' out-of-range panics are unreachable from the wire.
-#[derive(Clone)]
-pub enum Backend {
-    /// Shared sharded profile.
-    Sharded(Arc<ShardedProfile>),
-    /// Producer/query handle onto the pipeline owner thread.
-    Pipeline(PipelineHandle),
+/// Replaces `engine`'s state wholesale with `profile` — the replica
+/// checkpoint-bootstrap hook. O(m log m) (a per-shard rebuild), never
+/// proportional to the total event count the state encodes.
+///
+/// # Panics
+/// If `profile`'s universe size differs from `engine`'s.
+pub(crate) fn install(engine: &ShardedProfile, profile: &SProfile) {
+    engine.install_frequencies(&frequencies(profile));
 }
 
-/// The engine owner held by the server itself; dropped (and for the
-/// pipeline, joined) only after every connection worker has exited.
-pub enum BackendOwner {
-    /// Sharded: the same `Arc` the connections clone.
-    Sharded(Arc<ShardedProfile>),
-    /// Pipeline: the join handle for graceful shutdown.
-    Pipeline(PipelineProfiler),
+/// `engine`'s [`SProfile`] snapshot bytes, round-trip-validated before
+/// anything is persisted or shipped: a bad shard merge surfaces as a
+/// typed error the caller turns into a protocol `ERR` or a counted
+/// checkpoint failure, never as a panic on a worker thread.
+pub(crate) fn validated_snapshot_bytes(engine: &ShardedProfile) -> Result<Vec<u8>, SnapshotError> {
+    let bytes = engine.snapshot_bytes();
+    SProfile::from_snapshot_bytes(&bytes)?;
+    Ok(bytes)
 }
 
-impl BackendOwner {
-    /// Builds the engine for `kind` over a universe of `m` objects.
-    pub fn build(kind: BackendKind, m: u32) -> BackendOwner {
-        match kind {
-            BackendKind::Sharded { shards } => {
-                BackendOwner::Sharded(Arc::new(ShardedProfile::new(m, shards)))
-            }
-            BackendKind::Pipeline => BackendOwner::Pipeline(PipelineProfiler::spawn(m)),
-        }
-    }
-
-    /// Builds the engine for `kind` seeded with `profile`'s state — the
-    /// crash-recovery path: WAL replay produces a single
-    /// [`SProfile`], and the chosen deployment shape resumes from it.
-    pub fn build_recovered(kind: BackendKind, profile: SProfile) -> BackendOwner {
-        match kind {
-            BackendKind::Sharded { shards } => {
-                let m = profile.num_objects();
-                let freqs: Vec<i64> = (0..m).map(|x| profile.frequency(x)).collect();
-                BackendOwner::Sharded(Arc::new(ShardedProfile::from_frequencies(&freqs, shards)))
-            }
-            BackendKind::Pipeline => BackendOwner::Pipeline(PipelineProfiler::spawn_from(profile)),
-        }
-    }
-
-    /// A connection-facing view.
-    pub fn backend(&self) -> Backend {
-        match self {
-            BackendOwner::Sharded(p) => Backend::Sharded(Arc::clone(p)),
-            BackendOwner::Pipeline(p) => Backend::Pipeline(p.handle()),
-        }
-    }
-
-    /// Drains and tears the engine down. Requires every [`Backend`]
-    /// clone to be gone first (the pipeline join would otherwise wait on
-    /// live handles).
-    pub fn shutdown(self) {
-        match self {
-            BackendOwner::Sharded(_) => {}
-            BackendOwner::Pipeline(p) => {
-                p.shutdown();
-            }
-        }
-    }
-}
-
-impl Backend {
-    /// Engine name for `STATS`.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Backend::Sharded(_) => "sharded",
-            Backend::Pipeline(_) => "pipeline",
-        }
-    }
-
-    /// Applies a batch of tuples. Sharded applies synchronously; the
-    /// pipeline enqueues in one send (later queries on this same backend
-    /// clone still observe it — channel FIFO).
-    pub fn apply_batch(&self, batch: &[Tuple]) {
-        if batch.is_empty() {
-            return;
-        }
-        match self {
-            Backend::Sharded(p) => {
-                p.apply_batch(batch);
-            }
-            Backend::Pipeline(h) => h.apply_batch(batch.to_vec()),
-        }
-    }
-
-    /// Barrier: wait until every update handed in so far is applied.
-    /// Sharded is synchronous, so this is a no-op there.
-    pub fn drain(&self) {
-        match self {
-            Backend::Sharded(_) => {}
-            Backend::Pipeline(h) => {
-                h.flush();
-            }
-        }
-    }
-
-    /// Mode `(object, frequency)`.
-    pub fn mode(&self) -> Option<(u32, i64)> {
-        match self {
-            Backend::Sharded(p) => p.mode(),
-            Backend::Pipeline(h) => h.mode(),
-        }
-    }
-
-    /// Least-frequent `(object, frequency)`.
-    pub fn least(&self) -> Option<(u32, i64)> {
-        match self {
-            Backend::Sharded(p) => p.least(),
-            Backend::Pipeline(h) => h.least(),
-        }
-    }
-
-    /// Frequency of `x`.
-    pub fn frequency(&self, x: u32) -> i64 {
-        match self {
-            Backend::Sharded(p) => p.frequency(x),
-            Backend::Pipeline(h) => h.frequency(x),
-        }
-    }
-
-    /// Lower median frequency.
-    pub fn median(&self) -> Option<i64> {
-        match self {
-            Backend::Sharded(p) => p.median(),
-            Backend::Pipeline(h) => h.median(),
-        }
-    }
-
-    /// Top-K list, deterministic tie order.
-    pub fn top_k(&self, k: u32) -> Vec<(u32, i64)> {
-        match self {
-            Backend::Sharded(p) => p.top_k(k),
-            Backend::Pipeline(h) => h.top_k(k),
-        }
-    }
-
-    /// Count of objects with frequency ≥ `threshold`.
-    pub fn count_at_least(&self, threshold: i64) -> u32 {
-        match self {
-            Backend::Sharded(p) => p.count_at_least(threshold),
-            Backend::Pipeline(h) => h.count_at_least(threshold),
-        }
-    }
-
-    /// Frequencies of all `m` objects in id order — the merge point the
-    /// cluster layer masks with slice ownership. O(m); a global read for
-    /// occasional queries, not the hot path (the sharded backend walks
-    /// every shard, the pipeline drains and snapshots).
-    pub fn frequencies(&self) -> Vec<i64> {
-        match self {
-            Backend::Sharded(p) => p.merged_frequencies(),
-            Backend::Pipeline(h) => {
-                h.flush();
-                let snap = SProfile::from_snapshot_bytes(&h.snapshot_bytes())
-                    .expect("pipeline snapshot round-trips");
-                (0..snap.num_objects()).map(|x| snap.frequency(x)).collect()
-            }
-        }
-    }
-
-    /// Replaces the live state wholesale with `profile` — the replica
-    /// checkpoint-bootstrap hook. O(m log m) (sharded per-shard rebuild)
-    /// or O(1) beyond the move (pipeline swap); never proportional to
-    /// the total event count the state encodes.
-    ///
-    /// # Panics
-    /// If `profile`'s universe size differs from this backend's.
-    pub fn install(&self, profile: &SProfile) {
-        match self {
-            Backend::Sharded(p) => {
-                let m = profile.num_objects();
-                let freqs: Vec<i64> = (0..m).map(|x| profile.frequency(x)).collect();
-                p.install_frequencies(&freqs);
-            }
-            Backend::Pipeline(h) => h.install(profile.clone()),
-        }
-    }
-
-    /// Serialized [`sprofile::SProfile`] snapshot of the current state.
-    pub fn snapshot_bytes(&self) -> Vec<u8> {
-        match self {
-            Backend::Sharded(p) => p.snapshot_bytes(),
-            Backend::Pipeline(h) => h.snapshot_bytes(),
-        }
-    }
-
-    /// [`Self::snapshot_bytes`], round-trip-validated before anything is
-    /// persisted. The server's `SNAPSHOT` handler used to `unwrap()`
-    /// this round-trip in tests and trust it implicitly in production;
-    /// a backend bug (e.g. a bad sharded merge) would have panicked the
-    /// worker thread mid-connection. Now it surfaces as a typed error
-    /// the handler turns into a protocol `ERR`.
-    pub fn validated_snapshot_bytes(&self) -> Result<Vec<u8>, SnapshotError> {
-        let bytes = self.snapshot_bytes();
-        SProfile::from_snapshot_bytes(&bytes)?;
-        Ok(bytes)
-    }
+/// `profile`'s frequencies in id order.
+fn frequencies(profile: &SProfile) -> Vec<i64> {
+    (0..profile.num_objects())
+        .map(|x| profile.frequency(x))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kind_parsing() {
-        assert_eq!(
-            BackendKind::parse("sharded", 4),
-            Some(BackendKind::Sharded { shards: 4 })
-        );
-        assert_eq!(
-            BackendKind::parse("PIPELINE", 4),
-            Some(BackendKind::Pipeline)
-        );
-        assert_eq!(BackendKind::parse("tokio", 4), None);
-    }
+    use sprofile::Tuple;
 
     #[test]
     fn both_backends_answer_the_same_queries() {
-        for kind in [BackendKind::Sharded { shards: 3 }, BackendKind::Pipeline] {
-            let owner = BackendOwner::build(kind, 20);
-            let b = owner.backend();
+        for kind in [
+            BackendKind::Sharded { shards: 3 },
+            BackendKind::Sharded { shards: 1 },
+        ] {
+            let b = kind.build(20);
             b.apply_batch(&[
                 Tuple::add(5),
                 Tuple::add(5),
@@ -268,24 +84,21 @@ mod tests {
                 Tuple::add(9),
                 Tuple::remove(1),
             ]);
-            b.drain();
             assert_eq!(b.frequency(5), 3, "{kind:?}");
             assert_eq!(b.mode(), Some((5, 3)), "{kind:?}");
             assert_eq!(b.least(), Some((1, -1)), "{kind:?}");
             assert_eq!(b.median(), Some(0), "{kind:?}");
             assert_eq!(b.top_k(2), vec![(5, 3), (9, 1)], "{kind:?}");
             assert_eq!(b.count_at_least(1), 2, "{kind:?}");
-            let freqs = b.frequencies();
+            let freqs = b.merged_frequencies();
             assert_eq!(freqs.len(), 20, "{kind:?}");
             assert_eq!((freqs[5], freqs[9], freqs[1]), (3, 1, -1), "{kind:?}");
             // Regression: the snapshot round-trip is a fallible
             // validation step now, not an `unwrap()` that could panic a
             // worker thread.
-            let bytes = b.validated_snapshot_bytes().expect("valid snapshot");
-            let snap = sprofile::SProfile::from_snapshot_bytes(&bytes).unwrap();
+            let bytes = validated_snapshot_bytes(&b).expect("valid snapshot");
+            let snap = SProfile::from_snapshot_bytes(&bytes).unwrap();
             assert_eq!(snap.frequency(5), 3, "{kind:?}");
-            drop(b);
-            owner.shutdown();
         }
     }
 
@@ -294,20 +107,17 @@ mod tests {
         // The validation `validated_snapshot_bytes` performs is exactly
         // this round-trip: feed it the kind of corruption a buggy merge
         // could produce and require a typed error, not a panic.
-        let owner = BackendOwner::build(BackendKind::Sharded { shards: 2 }, 10);
-        let b = owner.backend();
+        let b = BackendKind::Sharded { shards: 2 }.build(10);
         b.apply_batch(&[Tuple::add(1), Tuple::add(1)]);
-        let mut bytes = b.validated_snapshot_bytes().unwrap();
+        let mut bytes = validated_snapshot_bytes(&b).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
-        assert!(sprofile::SProfile::from_snapshot_bytes(&bytes).is_err());
-        drop(b);
-        owner.shutdown();
+        assert!(SProfile::from_snapshot_bytes(&bytes).is_err());
     }
 
     #[test]
     fn build_recovered_seeds_both_backends() {
-        let mut seed = sprofile::SProfile::new(12);
+        let mut seed = SProfile::new(12);
         for t in [
             Tuple::add(3),
             Tuple::add(3),
@@ -316,18 +126,17 @@ mod tests {
         ] {
             seed.apply(t);
         }
-        for kind in [BackendKind::Sharded { shards: 3 }, BackendKind::Pipeline] {
-            let owner = BackendOwner::build_recovered(kind, seed.clone());
-            let b = owner.backend();
+        for kind in [
+            BackendKind::Sharded { shards: 3 },
+            BackendKind::Sharded { shards: 1 },
+        ] {
+            let b = kind.recover(&seed);
             assert_eq!(b.frequency(3), 2, "{kind:?}");
             assert_eq!(b.frequency(0), -1, "{kind:?}");
             assert_eq!(b.mode(), Some((3, 2)), "{kind:?}");
             // Updates continue on the recovered state.
             b.apply_batch(&[Tuple::add(3)]);
-            b.drain();
             assert_eq!(b.frequency(3), 3, "{kind:?}");
-            drop(b);
-            owner.shutdown();
         }
     }
 }

@@ -26,9 +26,9 @@
 use std::path::PathBuf;
 use std::sync::RwLock;
 
+use sprofile_concurrent::ShardedProfile;
 use sprofile_persist::{read_partition_map, write_partition_map, PartitionMap};
 
-use crate::backend::Backend;
 use crate::metrics::Counter;
 
 /// Cluster membership knobs (`cluster-serve`): the shared topology every
@@ -212,7 +212,6 @@ impl ClusterState {
         }
     }
 
-    /// The `STATS` fragment (leading space included).
     /// `(slices this node owns, total slices)` under the current map.
     pub(crate) fn ownership(&self) -> (u64, u64) {
         let map = self.map.read().expect("map lock poisoned");
@@ -220,15 +219,15 @@ impl ClusterState {
         (owned as u64, u64::from(map.slices))
     }
 
+    /// The `STATS` fragment (leading space included).
     pub(crate) fn stats_frag(&self) -> String {
-        let map = self.map.read().expect("map lock poisoned");
-        let owned = map.owners.iter().filter(|&&o| o == self.node).count();
+        let (owned, slices) = self.ownership();
         format!(
             " cluster_slices={} cluster_node={} cluster_owned={} map_version={} moved_rejects={} migrations={}",
-            map.slices,
+            slices,
             self.node,
             owned,
-            map.version,
+            self.version(),
             self.moved_rejects.get(),
             self.migrations.get()
         )
@@ -242,21 +241,21 @@ impl ClusterState {
 /// Masked mode: the most frequent *owned* object, ties to the smallest
 /// id (the [`ShardedProfile::mode`] rule). `None` when this node owns
 /// nothing.
-pub(crate) fn masked_mode(mask: &Mask, backend: &Backend) -> Option<(u32, i64)> {
+pub(crate) fn masked_mode(mask: &Mask, backend: &ShardedProfile) -> Option<(u32, i64)> {
     masked_extreme(mask, backend, |cand, best| cand > best)
 }
 
 /// Masked least-frequent counterpart of [`masked_mode`].
-pub(crate) fn masked_least(mask: &Mask, backend: &Backend) -> Option<(u32, i64)> {
+pub(crate) fn masked_least(mask: &Mask, backend: &ShardedProfile) -> Option<(u32, i64)> {
     masked_extreme(mask, backend, |cand, best| cand < best)
 }
 
 fn masked_extreme(
     mask: &Mask,
-    backend: &Backend,
+    backend: &ShardedProfile,
     beats: impl Fn(i64, i64) -> bool,
 ) -> Option<(u32, i64)> {
-    let freqs = backend.frequencies();
+    let freqs = backend.merged_frequencies();
     let mut best: Option<(u32, i64)> = None;
     // Ascending id order, strict comparison: the first owned object at
     // the winning frequency is the smallest id holding it.
@@ -276,8 +275,8 @@ fn masked_extreme(
 /// of the *owned* objects only. Well-defined per node, but per-node
 /// medians do not merge — the router derives the global median from
 /// masked `CAL` instead.
-pub(crate) fn masked_median(mask: &Mask, backend: &Backend) -> Option<i64> {
-    let freqs = backend.frequencies();
+pub(crate) fn masked_median(mask: &Mask, backend: &ShardedProfile) -> Option<i64> {
+    let freqs = backend.merged_frequencies();
     let mut owned: Vec<i64> = freqs
         .iter()
         .enumerate()
@@ -299,11 +298,11 @@ pub(crate) fn masked_median(mask: &Mask, backend: &Backend) -> Option<i64> {
 /// `2k − 1` entries). Arbitrarily truncating at `k` could drop a
 /// small-id tied object while another node's larger-id tied object
 /// survived the merge — the same argument as the sharded top-k.
-pub(crate) fn masked_top_k(mask: &Mask, backend: &Backend, k: u32) -> Vec<(u32, i64)> {
+pub(crate) fn masked_top_k(mask: &Mask, backend: &ShardedProfile, k: u32) -> Vec<(u32, i64)> {
     if k == 0 {
         return Vec::new();
     }
-    let freqs = backend.frequencies();
+    let freqs = backend.merged_frequencies();
     let mut owned: Vec<(u32, i64)> = freqs
         .iter()
         .enumerate()
@@ -326,9 +325,9 @@ pub(crate) fn masked_top_k(mask: &Mask, backend: &Backend, k: u32) -> Vec<(u32, 
 /// this across nodes gives the exact global count (ownership is a
 /// partition of the universe), which is also how the router bisects
 /// for the global median.
-pub(crate) fn masked_count_at_least(mask: &Mask, backend: &Backend, threshold: i64) -> u32 {
+pub(crate) fn masked_count_at_least(mask: &Mask, backend: &ShardedProfile, threshold: i64) -> u32 {
     backend
-        .frequencies()
+        .merged_frequencies()
         .iter()
         .enumerate()
         .filter(|&(x, &f)| mask.owned(x as u32) && f >= threshold)
@@ -338,7 +337,7 @@ pub(crate) fn masked_count_at_least(mask: &Mask, backend: &Backend, threshold: i
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{BackendKind, BackendOwner};
+    use crate::backend::BackendKind;
     use sprofile::{SProfile, Tuple};
 
     fn state(slices: u32, node: u32, nodes: usize) -> ClusterState {
@@ -352,12 +351,10 @@ mod tests {
         ClusterState::new(&cfg, None).unwrap()
     }
 
-    fn seeded_backend(m: u32, tuples: &[Tuple]) -> (BackendOwner, Backend) {
-        let owner = BackendOwner::build(BackendKind::Sharded { shards: 2 }, m);
-        let b = owner.backend();
+    fn seeded_backend(m: u32, tuples: &[Tuple]) -> ShardedProfile {
+        let b = BackendKind::Sharded { shards: 2 }.build(m);
         b.apply_batch(tuples);
-        b.drain();
-        (owner, b)
+        b
     }
 
     #[test]
@@ -432,8 +429,8 @@ mod tests {
         for &t in &tuples {
             oracle.apply(t);
         }
-        let (_owners, backends): (Vec<_>, Vec<_>) =
-            (0..nodes).map(|_| seeded_backend(m, &tuples)).unzip();
+        let backends: Vec<ShardedProfile> =
+            (0..nodes).map(|_| seeded_backend(m, &tuples)).collect();
         let states: Vec<ClusterState> = (0..nodes)
             .map(|n| state(slices, n, nodes as usize))
             .collect();

@@ -39,11 +39,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sprofile::{SProfile, Tuple};
+use sprofile_concurrent::ShardedProfile;
 use sprofile_obs::span::{Phase, Span};
 use sprofile_obs::{log, Level};
 use sprofile_persist::slice_snapshot_bytes;
 
-use crate::backend::Backend;
+use crate::backend;
 use crate::bin_proto;
 use crate::client::Client;
 use crate::cluster;
@@ -306,7 +307,7 @@ impl Conn {
 
     /// Decodes and serves as many complete frames as the read buffer
     /// holds. Never blocks; backend applies and queries run inline.
-    pub(crate) fn process(&mut self, backend: &Backend, shared: &Arc<Shared>) -> Flow {
+    pub(crate) fn process(&mut self, backend: &ShardedProfile, shared: &Arc<Shared>) -> Flow {
         loop {
             if self.done {
                 return Flow::Done;
@@ -353,7 +354,7 @@ impl Conn {
 
     /// One frame through decode → [`Conn::execute`] → encode, the same
     /// steps for both protocols.
-    fn step(&mut self, backend: &Backend, shared: &Arc<Shared>) -> Step {
+    fn step(&mut self, backend: &ShardedProfile, shared: &Arc<Shared>) -> Step {
         if self.rpos == self.rbuf.len() {
             return Step::NeedMore;
         }
@@ -443,12 +444,12 @@ impl Conn {
     /// [`flush_pending`] with this connection's trace id attached and
     /// the in-flight request's span (if any) receiving the durability
     /// sub-phase breakdown.
-    fn flush_now(&mut self, backend: &Backend, shared: &Shared) {
+    fn flush_now(&mut self, backend: &ShardedProfile, shared: &Shared) {
         let span = self.inflight.as_mut().map(|inf| &mut inf.span);
         flush_pending(&mut self.pending, backend, shared, self.trace, span);
     }
 
-    fn flush_if_due(&mut self, backend: &Backend, shared: &Shared) {
+    fn flush_if_due(&mut self, backend: &ShardedProfile, shared: &Shared) {
         if self.pending.len() >= shared.flush_every {
             self.flush_now(backend, shared);
         }
@@ -463,7 +464,7 @@ impl Conn {
 
     /// A read query sees this connection's own writes: flush them, then
     /// count the query.
-    fn begin_query(&mut self, backend: &Backend, shared: &Shared) {
+    fn begin_query(&mut self, backend: &ShardedProfile, shared: &Shared) {
         self.flush_now(backend, shared);
         shared.metrics.queries.inc();
     }
@@ -532,7 +533,7 @@ impl Conn {
     fn execute(
         &mut self,
         req: Request,
-        backend: &Backend,
+        backend: &ShardedProfile,
         shared: &Arc<Shared>,
     ) -> Result<Response, String> {
         Ok(match req {
@@ -724,14 +725,12 @@ impl Conn {
         })
     }
 
-    /// Settles the backend and returns its checkpoint bytes,
-    /// round-trip-validated: a backend bug producing corrupt bytes is a
-    /// protocol `ERR`, not a worker-thread panic.
-    fn checkpoint(&mut self, backend: &Backend, shared: &Shared) -> Result<Vec<u8>, String> {
+    /// Flushes this connection's writes and returns the backend's
+    /// checkpoint bytes, round-trip-validated: a backend bug producing
+    /// corrupt bytes is a protocol `ERR`, not a worker-thread panic.
+    fn checkpoint(&mut self, backend: &ShardedProfile, shared: &Shared) -> Result<Vec<u8>, String> {
         self.flush_now(backend, shared);
-        backend.drain();
-        backend
-            .validated_snapshot_bytes()
+        backend::validated_snapshot_bytes(backend)
             .map_err(|e| format!("snapshot validation failed: {e}"))
     }
 
@@ -745,7 +744,7 @@ impl Conn {
         &mut self,
         slice: u32,
         body: &[u8],
-        backend: &Backend,
+        backend: &ShardedProfile,
         shared: &Shared,
     ) -> Result<u64, String> {
         let cs = cluster_node(shared)?;
@@ -763,10 +762,9 @@ impl Conn {
                 shared.m
             ));
         }
-        // Settle local state before diffing against it.
+        // Flush local writes before diffing against the state.
         self.flush_now(backend, shared);
-        backend.drain();
-        let current = backend.frequencies();
+        let current = backend.merged_frequencies();
         let mut delta: Vec<Tuple> = Vec::new();
         for x in (slice..shared.m).step_by(slices.max(1) as usize) {
             let have = current[x as usize];
@@ -795,7 +793,7 @@ impl Conn {
         &mut self,
         slice: u32,
         target: u32,
-        backend: &Backend,
+        backend: &ShardedProfile,
         shared: &Shared,
     ) -> Result<u64, String> {
         let cs = cluster_node(shared)?;
@@ -815,7 +813,6 @@ impl Conn {
             .node_addr(target)
             .ok_or_else(|| format!("target node {target} out of range"))?;
         self.flush_now(backend, shared);
-        backend.drain();
         let slices = cs.slices();
         // Everything from here to the map handoff is cross-node work:
         // the window lands in the span's fan-out phase (success path;
@@ -839,7 +836,7 @@ impl Conn {
             );
         }
         // Bulk ship while still owning the slice (writes keep flowing).
-        let mut shipped = slice_snapshot_bytes(&backend.frequencies(), slices, slice);
+        let mut shipped = slice_snapshot_bytes(&backend.merged_frequencies(), slices, slice);
         client
             .adopt(slice, cs.version(), &shipped)
             .map_err(|e| format!("bulk ADOPT: {e}"))?;
@@ -851,8 +848,7 @@ impl Conn {
         // OK went out, so a stable re-read means nothing acked is
         // missing.
         for _ in 0..100 {
-            backend.drain();
-            let now = slice_snapshot_bytes(&backend.frequencies(), slices, slice);
+            let now = slice_snapshot_bytes(&backend.merged_frequencies(), slices, slice);
             if now == shipped {
                 break;
             }

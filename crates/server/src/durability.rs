@@ -21,7 +21,9 @@ use sprofile_persist::{
     recover, PersistError, Recovered, ReplicaRegistry, SyncPolicy, Wal, WalMetrics, WalOptions,
 };
 
-use crate::backend::Backend;
+use sprofile_concurrent::ShardedProfile;
+
+use crate::backend;
 
 /// `--wal` knobs.
 #[derive(Clone, Debug)]
@@ -223,7 +225,11 @@ impl Durability {
     /// when the append failed) so synchronous commit can wait for
     /// replica acks on it, plus where the call's time went (lock wait /
     /// append / fsync) for the caller's request span.
-    pub(crate) fn log_and_apply(&self, batch: &[Tuple], backend: &Backend) -> FlushBreakdown {
+    pub(crate) fn log_and_apply(
+        &self,
+        batch: &[Tuple],
+        backend: &ShardedProfile,
+    ) -> FlushBreakdown {
         let (mut wal, lock_wait_us) = self.lock_wal();
         // The fsync the sync policy issues happens inside `append`;
         // the fsync-histogram sum delta across the call is exactly
@@ -260,7 +266,7 @@ impl Durability {
         &self,
         lsn: u64,
         batch: &[Tuple],
-        backend: &Backend,
+        backend: &ShardedProfile,
     ) -> Result<(), String> {
         let (mut wal, _) = self.lock_wal();
         if wal.next_lsn() != lsn {
@@ -300,11 +306,10 @@ impl Durability {
         lsn: u64,
         snapshot: &[u8],
         target: &sprofile::SProfile,
-        backend: &Backend,
+        backend: &ShardedProfile,
     ) -> Result<(), String> {
         let mut wal = self.wal.lock().expect("wal lock poisoned");
-        backend.drain();
-        backend.install(target);
+        backend::install(backend, target);
         // Checkpoint-first reset: a crash at any point leaves either the
         // old recoverable log (re-bootstrap on restart) or the new
         // checkpoint — never a checkpointless log starting past LSN 1.
@@ -347,18 +352,17 @@ impl Durability {
     }
 
     /// Takes a checkpoint of `backend`'s current state: under the WAL
-    /// lock (no appends can interleave), drains the backend, snapshots
-    /// it with round-trip validation, writes the checkpoint, and prunes
-    /// covered segments. Errors bump `wal_errors` at the caller.
-    pub(crate) fn checkpoint_now(&self, backend: &Backend) -> Result<u64, PersistError> {
+    /// lock (no appends can interleave), snapshots it with round-trip
+    /// validation, writes the checkpoint, and prunes covered segments.
+    /// Errors bump `wal_errors` at the caller.
+    pub(crate) fn checkpoint_now(&self, backend: &ShardedProfile) -> Result<u64, PersistError> {
         let (mut wal, _) = self.lock_wal();
         // The whole critical section is the pause concurrent writers
         // observe as lock wait; record it even when the checkpoint
         // fails partway — the pause happened either way.
         let t0 = Instant::now();
         let result = (|| {
-            backend.drain();
-            let bytes = backend.validated_snapshot_bytes()?;
+            let bytes = backend::validated_snapshot_bytes(backend)?;
             let lsn = wal.checkpoint(&bytes)?;
             self.tuples_at_last_checkpoint
                 .store(self.metrics.tuples(), Ordering::Relaxed);
@@ -371,9 +375,9 @@ impl Durability {
     /// [`Self::checkpoint_now`], with failures counted instead of
     /// propagated — the background checkpointer's shape. Returns whether
     /// the checkpoint succeeded (the caller backs off on failure:
-    /// checkpointing is an O(m) drain + snapshot under the WAL lock, so
+    /// checkpointing is an O(m) snapshot under the WAL lock, so
     /// hot-retrying against a full disk would stall ingest).
-    pub(crate) fn checkpoint_counting_errors(&self, backend: &Backend) -> bool {
+    pub(crate) fn checkpoint_counting_errors(&self, backend: &ShardedProfile) -> bool {
         match self.checkpoint_now(backend) {
             Ok(_) => true,
             Err(_) => {
@@ -428,7 +432,7 @@ impl Durability {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{BackendKind, BackendOwner};
+    use crate::backend::BackendKind;
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -443,7 +447,7 @@ mod tests {
     fn log_apply_checkpoint_recover_cycle() {
         for (kind, name) in [
             (BackendKind::Sharded { shards: 3 }, "sharded"),
-            (BackendKind::Pipeline, "pipeline"),
+            (BackendKind::Sharded { shards: 1 }, "one-shard"),
         ] {
             let dir = temp_dir(&format!("cycle-{name}"));
             let cfg = DurabilityConfig {
@@ -452,19 +456,15 @@ mod tests {
             };
             {
                 let (d, recovered) = Durability::open(&cfg, 16).unwrap();
-                let owner = BackendOwner::build_recovered(kind, recovered.profile);
-                let b = owner.backend();
+                let b = kind.recover(&recovered.profile);
                 d.log_and_apply(&[Tuple::add(2), Tuple::add(2)], &b);
                 let fb = d.log_and_apply(&[Tuple::remove(5)], &b);
                 assert!(fb.lsn.is_some(), "{kind:?}");
                 assert!(d.wal_metrics().group_batch().count() >= 2, "{kind:?}");
                 assert_eq!(d.wal_metrics().group_batch().max(), 2, "{kind:?}");
                 assert!(d.wal_metrics().lock_wait_us().count() >= 2, "{kind:?}");
-                b.drain();
                 assert_eq!(b.frequency(2), 2, "{kind:?}");
                 d.checkpoint_now(&b).unwrap();
-                drop(b);
-                owner.shutdown();
             }
             // The next boot of the same dir picks the state back up.
             let (d, recovered) = Durability::open(&cfg, 16).unwrap();
@@ -499,8 +499,7 @@ mod tests {
             ..DurabilityConfig::new(&dir)
         };
         let (d, recovered) = Durability::open(&cfg, 8).unwrap();
-        let owner = BackendOwner::build_recovered(BackendKind::Pipeline, recovered.profile);
-        let b = owner.backend();
+        let b = BackendKind::Sharded { shards: 1 }.recover(&recovered.profile);
         assert!(!d.wants_checkpoint());
         for _ in 0..3 {
             d.log_and_apply(&[Tuple::add(1)], &b);
@@ -508,8 +507,6 @@ mod tests {
         assert!(d.wants_checkpoint());
         d.checkpoint_counting_errors(&b);
         assert!(!d.wants_checkpoint());
-        drop(b);
-        owner.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
 }

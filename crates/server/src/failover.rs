@@ -32,10 +32,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
+use sprofile_concurrent::ShardedProfile;
 use sprofile_obs::{log, Level};
 use sprofile_replicate::{Applier, ApplierOptions};
 
-use crate::backend::Backend;
 use crate::repl::{BackendSink, ReplicaState};
 use crate::server::Shared;
 
@@ -43,7 +43,7 @@ use crate::server::Shared;
 pub(crate) struct FailoverCtx {
     pub shared: Arc<Shared>,
     /// For building a fresh [`BackendSink`] when re-pointing.
-    pub backend: Backend,
+    pub backend: Arc<ShardedProfile>,
     pub m: u32,
     /// The primary being monitored.
     pub primary: String,
@@ -234,8 +234,12 @@ fn run_election(ctx: &FailoverCtx) -> bool {
 fn repoint(ctx: &FailoverCtx, head: &str) {
     let replica = ctx.replica();
     replica.stop_applier();
-    let sink = BackendSink::new(ctx.backend.clone(), ctx.shared.durability.clone(), ctx.m)
-        .with_obs(Arc::clone(&ctx.shared.obs));
+    let sink = BackendSink::new(
+        Arc::clone(&ctx.backend),
+        ctx.shared.durability.clone(),
+        ctx.m,
+    )
+    .with_obs(Arc::clone(&ctx.shared.obs));
     let applier = Applier::spawn(
         ApplierOptions::new(head.to_string()),
         Box::new(sink),

@@ -3,21 +3,19 @@
 //! The paper motivates S-Profile as the core of a central service
 //! profiling a firehose of like/follow events; this crate puts that
 //! service on a socket. A [`Server`] binds a TCP listener and serves a
-//! newline-delimited text protocol (see [`protocol`]) over either
-//! concurrent deployment shape from `sprofile-concurrent`:
-//!
-//! * `sharded` — a [`sprofile_concurrent::ShardedProfile`], one mutex
-//!   per universe shard;
-//! * `pipeline` — a [`sprofile_concurrent::PipelineProfiler`], one
-//!   owner thread fed through a channel.
+//! newline-delimited text protocol (see [`protocol`]) over one
+//! [`sprofile_concurrent::ShardedProfile`] — one mutex per universe
+//! shard, with the shard count set by [`ServerConfig::backend`]. An
+//! update has been applied when its call returns, so every read sees
+//! every write flushed before it.
 //!
 //! Everything is std-only (the offline build has no async runtime): a
 //! **readiness-driven event loop** of a few worker threads multiplexes
 //! non-blocking connection state machines over the `polling` shim,
 //! sheds connections past `--max-conns` with a typed `ERR overloaded`,
 //! **per-connection write batching** turns single `ADD`/`RM` requests
-//! into large [`Backend::apply_batch`] calls, and **graceful shutdown**
-//! drains every buffered batch before the backend is torn down. Clients
+//! into large `apply_batch` calls, and **graceful shutdown** drains
+//! every buffered batch into the profile before the server stops. Clients
 //! start in the newline-delimited text protocol and may upgrade to the
 //! length-prefixed binary protocol (see [`bin_proto`]) with `BIN`.
 //!
@@ -65,7 +63,7 @@ pub mod protocol;
 mod repl;
 mod server;
 
-pub use backend::{Backend, BackendKind, BackendOwner};
+pub use backend::BackendKind;
 pub use client::{Client, ClientError, ClientResult};
 pub use cluster::ClusterConfig;
 pub use durability::DurabilityConfig;
@@ -100,7 +98,10 @@ mod crate_tests {
 
     #[test]
     fn end_to_end_singles_and_batches() {
-        for kind in [BackendKind::Sharded { shards: 4 }, BackendKind::Pipeline] {
+        for kind in [
+            BackendKind::Sharded { shards: 4 },
+            BackendKind::Sharded { shards: 1 },
+        ] {
             let server = start(kind, 100);
             let mut c = Client::connect(server.local_addr()).unwrap();
             c.add(7).unwrap();
@@ -150,7 +151,7 @@ mod crate_tests {
 
     #[test]
     fn truncated_batch_is_dropped_whole() {
-        let server = start(BackendKind::Pipeline, 10);
+        let server = start(BackendKind::Sharded { shards: 1 }, 10);
         {
             let mut c = Client::connect(server.local_addr()).unwrap();
             c.add(5).unwrap(); // complete frame: must survive the drain
@@ -201,7 +202,7 @@ mod crate_tests {
         std::fs::create_dir_all(&dir).unwrap();
         for (kind, name) in [
             (BackendKind::Sharded { shards: 3 }, "sharded"),
-            (BackendKind::Pipeline, "pipeline"),
+            (BackendKind::Sharded { shards: 1 }, "one-shard"),
         ] {
             let server = start(kind, 50);
             let mut c = Client::connect(server.local_addr()).unwrap();
@@ -303,9 +304,9 @@ mod crate_tests {
         );
         c.quit().unwrap();
         server.shutdown();
-        // Run 2 (pipeline — recovery is backend-agnostic): state is back.
-        let server =
-            Server::start(config(BackendKind::Pipeline), "127.0.0.1:0").expect("start run 2");
+        // Run 2 (one shard — recovery is shape-agnostic): state is back.
+        let server = Server::start(config(BackendKind::Sharded { shards: 1 }), "127.0.0.1:0")
+            .expect("start run 2");
         let mut c = Client::connect(server.local_addr()).unwrap();
         assert_eq!(c.freq(9).unwrap(), 5);
         assert_eq!(c.freq(2).unwrap(), 2);
@@ -394,7 +395,7 @@ mod crate_tests {
         let replica = Server::start(
             ServerConfig {
                 m: 64,
-                backend: BackendKind::Pipeline,
+                backend: BackendKind::Sharded { shards: 1 },
                 workers: 2,
                 flush_every: 4,
                 snapshot_dir: std::env::temp_dir(),
@@ -571,7 +572,7 @@ mod crate_tests {
 
     #[test]
     fn loadgen_runs_against_a_live_server() {
-        let server = start(BackendKind::Pipeline, 256);
+        let server = start(BackendKind::Sharded { shards: 1 }, 256);
         let cfg = LoadgenConfig {
             addr: server.local_addr().to_string(),
             threads: 3,

@@ -277,7 +277,7 @@ impl VerbHists {
 
 /// Cross-verb phase timing histograms (microseconds): one histogram
 /// per request [`Phase`], fed by every finished request span, plus the
-/// whole-flush composite. Because [`PhaseHists::record_span`] records
+/// per-flush histogram. Because [`PhaseHists::record_span`] records
 /// *every* phase of *every* span — zeros included — all per-phase
 /// counts are equal (to the number of requests served), and the
 /// per-phase sums partition the per-verb totals exactly.
@@ -285,9 +285,10 @@ impl VerbHists {
 pub struct PhaseHists {
     phases: [AtomicLogHistogram; Phase::COUNT],
     /// Write-buffer flush: WAL append + fsync + backend apply (+
-    /// synchronous-commit wait when enabled). A composite over the
-    /// `wal_lock_wait`/`wal_append`/`fsync`/`commit_wait` phases, kept
-    /// for continuity with the pre-span exposition.
+    /// synchronous-commit wait when enabled), one sample per flush. It
+    /// overlaps the `wal_lock_wait`/`wal_append`/`fsync`/`commit_wait`
+    /// phases and counts flushes, not requests, so `METRICS` renders it
+    /// as its own family, `sprofile_flush_duration_us`.
     pub flush_us: AtomicLogHistogram,
 }
 

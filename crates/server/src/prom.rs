@@ -229,8 +229,7 @@ pub(crate) fn render(shared: &Shared) -> String {
 
     // Cross-verb phase timings: one series per span phase (every
     // finished request records all of them, zeros included, so the
-    // counts stay aligned and the sums partition the verb totals),
-    // plus the whole-flush composite kept from the pre-span exposition.
+    // counts stay aligned and the sums partition the verb totals).
     head(
         &mut out,
         "sprofile_phase_duration_us",
@@ -245,10 +244,12 @@ pub(crate) fn render(shared: &Shared) -> String {
             shared.phase_us.get(phase),
         );
     }
-    hist_series(
+    // Write-buffer flushes count flushes, not requests, so they are a
+    // family of their own rather than a tenth `phase`.
+    hist(
         &mut out,
-        "sprofile_phase_duration_us",
-        "phase=\"flush\"",
+        "sprofile_flush_duration_us",
+        "Write-buffer flush time (WAL append, fsync, apply, commit wait), microseconds.",
         &shared.phase_us.flush_us,
     );
 

@@ -182,8 +182,13 @@
 //! # Observability verbs
 //!
 //! `METRICS` renders the full metrics surface — every `STATS` counter,
-//! per-verb server-side latency histograms (`parse`/`apply`/`flush`
-//! phases included), WAL fsync/checkpoint latency histograms, and
+//! per-verb server-side latency histograms
+//! (`sprofile_request_duration_us{verb=…}`), the phase family
+//! `sprofile_phase_duration_us{phase=…}` (one series per span phase,
+//! `queue` through `reply`; every request records every phase, so the
+//! counts are equal and the sums partition the per-verb sums), the
+//! per-flush histogram `sprofile_flush_duration_us` (one sample per
+//! write-buffer flush), WAL fsync/checkpoint latency histograms, and
 //! per-second meters — in the Prometheus text exposition format
 //! (version 0.0.4). The reply is length-prefixed (`METRICS <nbytes>`
 //! followed by exactly `nbytes` of payload) so the connection never

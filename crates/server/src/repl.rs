@@ -6,10 +6,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use sprofile::{SProfile, Tuple};
+use sprofile_concurrent::ShardedProfile;
 use sprofile_obs::{log, Level, Obs};
 use sprofile_replicate::{Applier, ApplierStats, ApplySink, ReplicationSource};
 
-use crate::backend::Backend;
+use crate::backend;
 use crate::durability::Durability;
 
 /// A server's replication role, held in the shared state.
@@ -161,7 +162,7 @@ impl ReplState {
 /// order — so the replica's restart position is exactly what it durably
 /// applied, and its LSNs always line up with the primary's.
 pub(crate) struct BackendSink {
-    backend: Backend,
+    backend: Arc<ShardedProfile>,
     durability: Option<Arc<Durability>>,
     m: u32,
     /// Resume position when running without a local WAL (volatile: a
@@ -178,7 +179,11 @@ pub(crate) struct BackendSink {
 }
 
 impl BackendSink {
-    pub fn new(backend: Backend, durability: Option<Arc<Durability>>, m: u32) -> BackendSink {
+    pub fn new(
+        backend: Arc<ShardedProfile>,
+        durability: Option<Arc<Durability>>,
+        m: u32,
+    ) -> BackendSink {
         let next = durability.as_ref().map_or(1, |d| d.next_lsn());
         let epoch = durability.as_ref().map_or(1, |d| d.epoch());
         BackendSink {
@@ -255,10 +260,7 @@ impl ApplySink for BackendSink {
         // capture a half-installed backend against the old LSNs.
         match &self.durability {
             Some(d) => d.bootstrap_install(lsn, snapshot, &target, &self.backend)?,
-            None => {
-                self.backend.drain();
-                self.backend.install(&target);
-            }
+            None => backend::install(&self.backend, &target),
         }
         self.next = lsn + 1;
         Ok(())
@@ -268,7 +270,9 @@ impl ApplySink for BackendSink {
         self.check_universe(tuples)?;
         match &self.durability {
             Some(d) => d.replicate_apply(lsn, tuples, &self.backend)?,
-            None => self.backend.apply_batch(tuples),
+            None => {
+                self.backend.apply_batch(tuples);
+            }
         }
         self.next = lsn + 1;
         Ok(())
@@ -289,7 +293,7 @@ impl ApplySink for BackendSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{BackendKind, BackendOwner};
+    use crate::backend::BackendKind;
     use crate::durability::DurabilityConfig;
 
     fn temp_dir(name: &str) -> std::path::PathBuf {
@@ -308,11 +312,8 @@ mod tests {
         };
         {
             let (d, recovered) = Durability::open(&cfg, 16).unwrap();
-            let owner = BackendOwner::build_recovered(
-                BackendKind::Sharded { shards: 2 },
-                recovered.profile,
-            );
-            let mut sink = BackendSink::new(owner.backend(), Some(Arc::new(d)), 16);
+            let b = BackendKind::Sharded { shards: 2 }.recover(&recovered.profile);
+            let mut sink = BackendSink::new(Arc::new(b), Some(Arc::new(d)), 16);
             assert_eq!(sink.position(), 1);
             sink.apply(1, &[Tuple::add(3), Tuple::add(3)]).unwrap();
             sink.apply(2, &[Tuple::remove(7)]).unwrap();
@@ -323,31 +324,30 @@ mod tests {
             let err = sink.apply(3, &[Tuple::add(99)]).unwrap_err();
             assert!(err.contains("--m"), "{err}");
             assert_eq!(sink.position(), 3);
-            drop(sink);
-            owner.shutdown();
         }
         // Restart: the durable position carries over.
         let (d, recovered) = Durability::open(&cfg, 16).unwrap();
         assert_eq!(recovered.profile.frequency(3), 2);
-        let owner = BackendOwner::build_recovered(BackendKind::Pipeline, recovered.profile);
-        let mut sink = BackendSink::new(owner.backend(), Some(Arc::new(d)), 16);
+        let b = BackendKind::Sharded { shards: 1 }.recover(&recovered.profile);
+        let mut sink = BackendSink::new(Arc::new(b), Some(Arc::new(d)), 16);
         assert_eq!(sink.position(), 3);
-        drop(sink);
-        owner.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn bootstrap_morphs_the_backend_and_restarts_the_local_log() {
-        for kind in [BackendKind::Sharded { shards: 3 }, BackendKind::Pipeline] {
+        for kind in [
+            BackendKind::Sharded { shards: 3 },
+            BackendKind::Sharded { shards: 1 },
+        ] {
             let dir = temp_dir(&format!("bootstrap-{kind:?}"));
             let cfg = DurabilityConfig {
                 checkpoint_every: 0,
                 ..DurabilityConfig::new(&dir)
             };
             let (d, recovered) = Durability::open(&cfg, 8).unwrap();
-            let owner = BackendOwner::build_recovered(kind, recovered.profile);
-            let mut sink = BackendSink::new(owner.backend(), Some(Arc::new(d)), 8);
+            let b = Arc::new(kind.recover(&recovered.profile));
+            let mut sink = BackendSink::new(Arc::clone(&b), Some(Arc::new(d)), 8);
             // The replica had diverged state (from an older history).
             sink.apply(1, &[Tuple::add(0), Tuple::add(1), Tuple::add(1)])
                 .unwrap();
@@ -363,16 +363,13 @@ mod tests {
                 target.apply(t);
             }
             sink.bootstrap(50, &target.to_snapshot_bytes()).unwrap();
-            let b = owner.backend();
-            b.drain();
             for x in 0..8 {
                 assert_eq!(b.frequency(x), target.frequency(x), "{kind:?} object {x}");
             }
             assert_eq!(sink.position(), 51);
             // And the next record chains at 51.
             sink.apply(51, &[Tuple::add(4)]).unwrap();
-            drop((b, sink));
-            owner.shutdown();
+            drop(sink);
             // A restart recovers the bootstrapped state + the tail.
             let (_, recovered) = Durability::open(&cfg, 8).unwrap();
             assert_eq!(recovered.checkpoint_lsn, Some(50));
@@ -385,13 +382,11 @@ mod tests {
 
     #[test]
     fn a_mismatched_universe_bootstrap_is_refused() {
-        let owner = BackendOwner::build(BackendKind::Sharded { shards: 2 }, 8);
-        let mut sink = BackendSink::new(owner.backend(), None, 8);
+        let b = BackendKind::Sharded { shards: 2 }.build(8);
+        let mut sink = BackendSink::new(Arc::new(b), None, 8);
         let err = sink
             .bootstrap(5, &SProfile::new(16).to_snapshot_bytes())
             .unwrap_err();
         assert!(err.contains("m=16"), "{err}");
-        drop(sink);
-        owner.shutdown();
     }
 }

@@ -1,5 +1,5 @@
-//! The TCP server: a readiness-driven event loop over a shared
-//! [`Backend`].
+//! The TCP server: a readiness-driven event loop over one shared
+//! [`ShardedProfile`].
 //!
 //! Design notes:
 //!
@@ -20,13 +20,12 @@
 //!   unbounded accept queueing.
 //! * **Per-connection write batching.** `ADD`/`RM` (and small `BATCH`
 //!   frames) accumulate in a per-connection buffer that is flushed into
-//!   [`Backend::apply_batch`] at `flush_every` tuples. Every read query
-//!   flushes first, so a connection always reads its own writes.
+//!   [`ShardedProfile::apply_batch`] at `flush_every` tuples. Every read
+//!   query flushes first, so a connection always reads its own writes.
 //! * **Graceful shutdown.** `SHUTDOWN` (or [`Server::shutdown`]) flips
 //!   a flag and notifies every poller; workers drain each connection's
 //!   pending buffer (complete frames are never dropped; a `BATCH` cut
-//!   off mid-body is dropped whole), flush final replies, and exit. The
-//!   pipeline backend is then drained and joined.
+//!   off mid-body is dropped whole), flush final replies, and exit.
 //! * **Replication streams stay on dedicated threads.** A validated
 //!   `REPLICATE` deregisters the connection from its event loop and
 //!   hands the raw stream (plus any pipelined leftover bytes) to a
@@ -44,6 +43,7 @@ use std::time::{Duration, Instant};
 
 use polling::{Event, Poller};
 use sprofile::Tuple;
+use sprofile_concurrent::ShardedProfile;
 use sprofile_obs::hist::AtomicLogHistogram;
 use sprofile_obs::span::{register_panic_dump, FlightRecorder, Phase, Span};
 use sprofile_obs::{log, Level, Meter, Obs, ObsConfig};
@@ -51,7 +51,7 @@ use sprofile_replicate::{
     read_acks, AckState, Applier, ApplierOptions, ApplierStats, ReplicationSource,
 };
 
-use crate::backend::{Backend, BackendKind, BackendOwner};
+use crate::backend::BackendKind;
 use crate::cluster::{ClusterConfig, ClusterState};
 use crate::conn::{Conn, Flow};
 use crate::durability::{Durability, DurabilityConfig};
@@ -152,7 +152,8 @@ impl FailoverConfig {
 pub struct ServerConfig {
     /// Universe size `m`; wire ids must lie in `[0, m)`.
     pub m: u32,
-    /// Which engine serves the profile.
+    /// The engine's shape: how many shards the one [`ShardedProfile`]
+    /// every connection shares splits the universe into.
     pub backend: BackendKind,
     /// Event-loop worker threads. Unlike the old accept pool, this does
     /// **not** bound concurrent connections — each worker multiplexes
@@ -270,15 +271,14 @@ pub(crate) struct Shared {
     max_conns: u64,
     pub(crate) flush_every: usize,
     pub(crate) snapshot_dir: PathBuf,
-    pub(crate) backend_name: &'static str,
     pub(crate) proto: WireProto,
     /// Structured logging + event ring (always present; level may be
     /// off). Workers log through it, `LOGTAIL` dumps it.
     pub(crate) obs: Arc<Obs>,
     /// Per-verb service-time histograms (µs).
     pub(crate) verb_us: VerbHists,
-    /// Cross-verb phase histograms (one per request [`Phase`], plus the
-    /// whole-flush composite), fed by every finished request span.
+    /// Cross-verb phase histograms (one per request [`Phase`], fed by
+    /// every finished request span), plus the per-flush histogram.
     pub(crate) phase_us: PhaseHists,
     /// Per-event-loop tick instrumentation (poll wait, conns serviced
     /// per tick, read-budget exhaustion), aggregated across workers.
@@ -312,9 +312,7 @@ pub(crate) struct Shared {
     /// Commit-wait observability: microseconds each synchronous commit
     /// spent waiting for replica acks (degraded waits included).
     pub(crate) commit_wait: AtomicLogHistogram,
-    /// Dedicated replication-stream threads, joined on shutdown. They
-    /// hold no [`Backend`] clone, only `Arc`s, so backend teardown never
-    /// waits on a slow replica.
+    /// Dedicated replication-stream threads, joined on shutdown.
     stream_threads: Mutex<Vec<JoinHandle<()>>>,
     /// Every worker's poller, so `trigger_stop` can wake parked waits.
     pollers: Mutex<Vec<Arc<Poller>>>,
@@ -397,9 +395,8 @@ impl Shared {
             .map(|c| c.stats_frag())
             .unwrap_or_default();
         format!(
-            "backend={} m={} uptime_s={} version={} build_profile={} {}{wal} \
+            "backend=sharded m={} uptime_s={} version={} build_profile={} {}{wal} \
              {repl}{commit_wait}{cluster}",
-            self.backend_name,
             self.m,
             self.start.elapsed().as_secs(),
             env!("CARGO_PKG_VERSION"),
@@ -463,7 +460,7 @@ pub struct Server {
     checkpointer: Option<JoinHandle<()>>,
     promoter: Option<JoinHandle<()>>,
     metrics_http: Option<JoinHandle<()>>,
-    owner: Option<BackendOwner>,
+    backend: Arc<ShardedProfile>,
 }
 
 impl Server {
@@ -477,16 +474,17 @@ impl Server {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let obs = Obs::new(config.obs.clone())?;
-        let (durability, owner) = match &config.wal {
+        let (durability, backend) = match &config.wal {
             Some(wal_cfg) => {
                 let (d, recovered) = Durability::open(wal_cfg, config.m)?;
                 (
                     Some(Arc::new(d)),
-                    BackendOwner::build_recovered(config.backend, recovered.profile),
+                    config.backend.recover(&recovered.profile),
                 )
             }
-            None => (None, BackendOwner::build(config.backend, config.m)),
+            None => (None, config.backend.build(config.m)),
         };
+        let backend = Arc::new(backend);
         // Any durable server can feed replicas; a `--replica-of` server
         // additionally runs the applier (and starts read-only).
         let source = durability.as_ref().map(|d| {
@@ -498,7 +496,7 @@ impl Server {
         });
         let replica = config.replica_of.as_ref().map(|primary| {
             let stats = ApplierStats::new();
-            let sink = BackendSink::new(owner.backend(), durability.clone(), config.m)
+            let sink = BackendSink::new(Arc::clone(&backend), durability.clone(), config.m)
                 .with_obs(Arc::clone(&obs));
             let applier = Applier::spawn(
                 ApplierOptions::new(primary.clone()),
@@ -533,7 +531,6 @@ impl Server {
                 config.flush_every.max(1)
             },
             snapshot_dir: config.snapshot_dir.clone(),
-            backend_name: owner.backend().name(),
             proto: config.proto,
             obs,
             verb_us: VerbHists::default(),
@@ -571,7 +568,7 @@ impl Server {
             "server",
             "listening",
             addr = addr,
-            backend = shared.backend_name,
+            backend = "sharded",
             proto = config.proto.name(),
             workers = worker_count,
         );
@@ -603,7 +600,7 @@ impl Server {
         let mut workers = Vec::with_capacity(worker_count);
         for i in 0..worker_count {
             let listener = listener.try_clone()?;
-            let backend = owner.backend();
+            let backend = Arc::clone(&backend);
             let shared_w = Arc::clone(&shared);
             let poller = Arc::new(Poller::new());
             shared
@@ -620,7 +617,7 @@ impl Server {
         }
         let checkpointer = shared.durability.as_ref().map(|d| {
             let d = Arc::clone(d);
-            let backend = owner.backend();
+            let backend = Arc::clone(&backend);
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("sprofile-wal-housekeeping".into())
@@ -633,7 +630,7 @@ impl Server {
             (Some(f), Some(primary)) => {
                 let ctx = crate::failover::FailoverCtx {
                     shared: Arc::clone(&shared),
-                    backend: owner.backend(),
+                    backend: Arc::clone(&backend),
                     m: config.m,
                     primary: primary.clone(),
                     self_addr: addr.to_string(),
@@ -657,7 +654,7 @@ impl Server {
             checkpointer,
             promoter,
             metrics_http,
-            owner: Some(owner),
+            backend,
         })
     }
 
@@ -684,9 +681,9 @@ impl Server {
 
     /// Blocks until shutdown is requested (by [`Self::request_shutdown`]
     /// or a client's `SHUTDOWN`), then joins every worker — each drains
-    /// its connections' pending write buffers first — and tears the
-    /// backend down. Returns the total number of tuples applied over
-    /// the server's lifetime.
+    /// its connections' pending write buffers first — and seals the WAL
+    /// (if any) with a final checkpoint. Returns the total number of
+    /// tuples applied over the server's lifetime.
     pub fn wait(mut self) -> u64 {
         {
             let mut stopped = self.shared.stop_lock.lock().expect("stop lock poisoned");
@@ -699,24 +696,17 @@ impl Server {
             }
         }
         self.join_threads();
-        if let Some(owner) = self.owner.take() {
-            // Seal the log with a final checkpoint so the next boot is
-            // instant; a failure only costs restart-time replay.
-            if let Some(d) = &self.shared.durability {
-                let backend = owner.backend();
-                d.checkpoint_counting_errors(&backend);
-            }
-            // All workers (and their Backend clones) are gone: the
-            // pipeline owner can now drain its queue and join.
-            owner.shutdown();
+        // Seal the log with a final checkpoint so the next boot is
+        // instant; a failure only costs restart-time replay.
+        if let Some(d) = &self.shared.durability {
+            d.checkpoint_counting_errors(&self.backend);
         }
         self.shared.metrics.applied.get()
     }
 
     /// Joins every server thread after the stop flag is up: event-loop
     /// workers, the housekeeping checkpointer, detached replication
-    /// streams, the failover promoter (which holds a backend clone),
-    /// and finally the replica applier.
+    /// streams, the failover promoter, and finally the replica applier.
     fn join_threads(&mut self) {
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -740,8 +730,8 @@ impl Server {
         if let Some(p) = self.promoter.take() {
             let _ = p.join();
         }
-        // Stop the replica applier (if any) before the final checkpoint
-        // and backend teardown, so everything it applied is captured.
+        // Stop the replica applier (if any) before the final checkpoint,
+        // so everything it applied is captured.
         if let Some(replica) = &self.shared.repl.replica {
             replica.stop_applier();
         }
@@ -761,9 +751,6 @@ impl Server {
     pub fn kill(mut self) {
         self.shared.trigger_stop();
         self.join_threads();
-        if let Some(owner) = self.owner.take() {
-            owner.shutdown();
-        }
     }
 }
 
@@ -774,9 +761,9 @@ impl Server {
 /// the background-checkpoint tuple threshold has been crossed. Exits
 /// when the server stops (the final checkpoint is `wait`'s job, after
 /// every worker has drained its buffers). A checkpoint is an O(m)
-/// drain + snapshot under the WAL lock, so failures (full disk) back
-/// off exponentially instead of hot-retrying against ingest.
-fn housekeeping_loop(d: Arc<Durability>, backend: Backend, shared: Arc<Shared>) {
+/// snapshot under the WAL lock, so failures (full disk) back off
+/// exponentially instead of hot-retrying against ingest.
+fn housekeeping_loop(d: Arc<Durability>, backend: Arc<ShardedProfile>, shared: Arc<Shared>) {
     const CHECK_EVERY: Duration = Duration::from_millis(100);
     let mut failures: u32 = 0;
     let mut cooldown: u32 = 0;
@@ -829,10 +816,10 @@ pub(crate) fn resolve_snapshot_path(dir: &Path, client_path: &str) -> Option<Pat
 /// node's own ring. When the flush happens on behalf of an in-flight
 /// request, `span` receives the durability sub-phase breakdown (WAL
 /// lock wait / append / fsync / commit wait); worker drain paths pass
-/// `None` and only the composite flush histogram records.
+/// `None` and only the flush histogram records.
 pub(crate) fn flush_pending(
     pending: &mut Vec<Tuple>,
-    backend: &Backend,
+    backend: &ShardedProfile,
     shared: &Shared,
     trace: u64,
     span: Option<&mut Span>,
@@ -864,7 +851,9 @@ pub(crate) fn flush_pending(
                 span.add(Phase::CommitWait, commit_wait_us);
             }
         }
-        None => backend.apply_batch(pending),
+        None => {
+            backend.apply_batch(pending);
+        }
     }
     shared
         .phase_us
@@ -959,7 +948,12 @@ fn serve_metrics_http(mut stream: TcpStream, shared: &Arc<Shared>) {
 
 /// One event-loop worker: non-blockingly accepts from the shared
 /// listener, then multiplexes its connections through the poller.
-fn event_worker(listener: TcpListener, backend: Backend, shared: Arc<Shared>, poller: Arc<Poller>) {
+fn event_worker(
+    listener: TcpListener,
+    backend: Arc<ShardedProfile>,
+    shared: Arc<Shared>,
+    poller: Arc<Poller>,
+) {
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut events: Vec<Event> = Vec::new();
     let mut ready: Vec<usize> = Vec::new();
@@ -1106,7 +1100,7 @@ enum StepResult {
 }
 
 /// One tick of one connection: read, parse/serve, write.
-fn step_conn(conn: &mut Conn, backend: &Backend, shared: &Arc<Shared>) -> StepResult {
+fn step_conn(conn: &mut Conn, backend: &ShardedProfile, shared: &Arc<Shared>) -> StepResult {
     let mut fatal = false;
     if !conn.paused() {
         match conn.fill() {
@@ -1141,8 +1135,7 @@ fn step_conn(conn: &mut Conn, backend: &Backend, shared: &Arc<Shared>) -> StepRe
 
 /// Hands a validated `REPLICATE` connection to a dedicated blocking
 /// stream thread, so a replica tailing the log for hours never occupies
-/// event-loop capacity. The thread holds only `Arc`s — no backend clone
-/// — and is joined on shutdown.
+/// event-loop capacity. The thread is joined on shutdown.
 fn detach_stream(conn: Conn, shared: &Arc<Shared>, start_lsn: u64, epoch: u64) -> io::Result<()> {
     let (stream, leftover, unsent) = conn.into_stream_parts();
     stream.set_nonblocking(false)?;

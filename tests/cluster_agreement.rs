@@ -156,7 +156,7 @@ fn random_ops_with_rebalance_and_failover_agree_with_the_oracle() {
     let replica_addrs = reserve_addrs(3);
     let kinds = [
         BackendKind::Sharded { shards: 2 },
-        BackendKind::Pipeline,
+        BackendKind::Sharded { shards: 1 },
         BackendKind::Sharded { shards: 3 },
     ];
     let node_cfg = |i: u32, role: &str| NodeConfig {

@@ -13,6 +13,7 @@
 
 use std::collections::BTreeMap;
 
+use sprofile_obs::span::Phase;
 use sprofile_server::{
     BackendKind, Client, DurabilityConfig, Server, ServerConfig, SyncCommit, SyncPolicy, WireProto,
 };
@@ -622,6 +623,47 @@ fn phase_histograms_are_count_aligned_and_partition_verb_totals() {
     c.quit().unwrap();
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The phase family counts requests: on a quiesced server its `phase`
+/// labels are exactly the span phases, all at one count. Write-buffer
+/// flushes count flushes, so they are a family of their own.
+#[test]
+fn phase_family_is_the_span_phases_and_flushes_are_their_own_family() {
+    let server = Server::start(
+        ServerConfig {
+            m: 64,
+            workers: 2,
+            flush_every: 4,
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    for i in 0..6 {
+        c.add(i).unwrap();
+    }
+    c.freq(0).unwrap(); // read barrier: the write buffer flushes
+
+    let e = parse_exposition(&c.metrics().unwrap()).expect("exposition parses");
+    let counts: Vec<(&str, f64)> = e
+        .samples
+        .iter()
+        .filter(|s| s.name == "sprofile_phase_duration_us_count")
+        .map(|s| (s.label("phase").unwrap_or(""), s.value))
+        .collect();
+    let labels: Vec<&str> = counts.iter().map(|&(phase, _)| phase).collect();
+    let names: Vec<&str> = Phase::ALL.iter().map(|p| p.name()).collect();
+    assert_eq!(labels, names, "phase labels");
+    assert!(
+        counts.iter().all(|&(_, n)| n == counts[0].1),
+        "one count across the phase family: {counts:?}"
+    );
+    assert!(e.value("sprofile_flush_duration_us_count") >= 1.0);
+
+    c.quit().unwrap();
+    server.shutdown();
 }
 
 #[test]

@@ -43,6 +43,9 @@ fn wal_config(dir: PathBuf) -> DurabilityConfig {
     }
 }
 
+/// The single-lock shape, so primary and replica differ in shard count.
+const ONE_SHARD: BackendKind = BackendKind::Sharded { shards: 1 };
+
 fn start_primary(m: u32, backend: BackendKind, dir: PathBuf) -> Server {
     Server::start(
         ServerConfig {
@@ -142,8 +145,8 @@ fn assert_matches_oracle(client: &mut Client, oracle: &SProfile, m: u32, ctx: &s
 fn random_stream_with_replica_restart_converges_and_promotes() {
     let mut rng = StdRng::seed_from_u64(0x5EED_0005);
     for (case, (primary_kind, replica_kind)) in [
-        (BackendKind::Sharded { shards: 3 }, BackendKind::Pipeline),
-        (BackendKind::Pipeline, BackendKind::Sharded { shards: 2 }),
+        (BackendKind::Sharded { shards: 3 }, ONE_SHARD),
+        (ONE_SHARD, BackendKind::Sharded { shards: 2 }),
     ]
     .into_iter()
     .enumerate()
@@ -219,14 +222,14 @@ fn a_late_replica_bootstraps_from_a_pruned_primary_log() {
     });
 
     // A brand-new replica must come up via CKPT bootstrap + live tail.
-    let replica = start_replica(m, BackendKind::Pipeline, base.join("replica"), &primary);
+    let replica = start_replica(m, ONE_SHARD, base.join("replica"), &primary);
     let mut rc = Client::connect(replica.local_addr()).unwrap();
     drain(&mut pc, &mut rc);
     assert_matches_oracle(&mut rc, &oracle, m, "bootstrapped replica");
     // And its own WAL recorded the bootstrap: a restart needs no
     // re-bootstrap and converges again.
     replica.shutdown();
-    let replica = start_replica(m, BackendKind::Pipeline, base.join("replica"), &primary);
+    let replica = start_replica(m, ONE_SHARD, base.join("replica"), &primary);
     drive(&mut rng, &mut pc, &mut oracle, m, 100);
     let mut rc = Client::connect(replica.local_addr()).unwrap();
     drain(&mut pc, &mut rc);
@@ -250,7 +253,7 @@ fn a_stale_primary_is_fenced_after_failover() {
     let m = 32u32;
     let base = temp_base("fencing");
     let primary = start_primary(m, BackendKind::Sharded { shards: 2 }, base.join("primary"));
-    let replica = start_replica(m, BackendKind::Pipeline, base.join("replica"), &primary);
+    let replica = start_replica(m, ONE_SHARD, base.join("replica"), &primary);
     let mut pc = Client::connect(primary.local_addr()).unwrap();
     let mut oracle = SProfile::new(m);
     drive(&mut rng, &mut pc, &mut oracle, m, 100);
@@ -281,7 +284,7 @@ fn a_stale_primary_is_fenced_after_failover() {
 
     // A second replica follows the promoted head and durably adopts its
     // generation (via the stream's EPOCH greeting).
-    let second = start_replica(m, BackendKind::Pipeline, base.join("second"), &replica);
+    let second = start_replica(m, ONE_SHARD, base.join("second"), &replica);
     let mut sc = Client::connect(second.local_addr()).unwrap();
     drain(&mut rc, &mut sc);
     let stats = sc.stats().unwrap();
@@ -298,7 +301,7 @@ fn a_stale_primary_is_fenced_after_failover() {
     // refuses the stream instead of silently re-following a zombie.
     let second = start_replica_of(
         m,
-        BackendKind::Pipeline,
+        ONE_SHARD,
         base.join("second"),
         &primary.local_addr().to_string(),
     );
@@ -353,7 +356,7 @@ fn sync_commit_quorum_loses_no_acked_write_across_a_primary_kill() {
         base.join("r1"),
         &primary,
     );
-    let r2 = start_replica(m, BackendKind::Pipeline, base.join("r2"), &primary);
+    let r2 = start_replica(m, ONE_SHARD, base.join("r2"), &primary);
     let mut pc = Client::connect(primary.local_addr()).unwrap();
     let mut oracle = SProfile::new(m);
     // Every op `drive` mirrors into the oracle was OK'd by the primary,

@@ -3,7 +3,7 @@
 //! must leave the profile in **exactly** the state a sequential
 //! [`SProfile`] oracle reaches when fed the same tuples — final `FREQ`
 //! for every object, `MODE`, `LEAST`, `MEDIAN`, `TOPK`, and `CAL`
-//! identical, for both the sharded and the pipeline backend.
+//! identical, with 8 shards and with one.
 //!
 //! This holds because add/remove commute: whatever interleaving the
 //! accept pool produces, the final frequency vector is the multiset sum
@@ -98,8 +98,8 @@ fn concurrent_loadgen_agrees_with_oracle_sharded() {
 }
 
 #[test]
-fn concurrent_loadgen_agrees_with_oracle_pipeline() {
-    run_agreement(BackendKind::Pipeline, WireProto::Text);
+fn concurrent_loadgen_agrees_with_oracle_one_shard() {
+    run_agreement(BackendKind::Sharded { shards: 1 }, WireProto::Text);
 }
 
 #[test]
@@ -108,6 +108,6 @@ fn concurrent_loadgen_agrees_with_oracle_sharded_bin() {
 }
 
 #[test]
-fn concurrent_loadgen_agrees_with_oracle_pipeline_bin() {
-    run_agreement(BackendKind::Pipeline, WireProto::Bin);
+fn concurrent_loadgen_agrees_with_oracle_one_shard_bin() {
+    run_agreement(BackendKind::Sharded { shards: 1 }, WireProto::Bin);
 }

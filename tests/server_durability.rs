@@ -1,6 +1,6 @@
 //! End-to-end durability through the TCP server: writes acknowledged
-//! over the wire survive a restart (graceful or torn), for both
-//! backends, with recovery riding the same `--wal` directory.
+//! over the wire survive a restart (graceful or torn), across shard
+//! counts, with recovery riding the same `--wal` directory.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -83,9 +83,10 @@ fn acknowledged_writes_survive_graceful_restarts_across_backends() {
         c.quit().unwrap();
         server.shutdown();
     }
-    // Restart on the *other* backend; continue writing; restart again.
+    // Restart on a *different* shard count; continue writing; restart
+    // again.
     {
-        let server = start(BackendKind::Pipeline, m, &dir);
+        let server = start(BackendKind::Sharded { shards: 1 }, m, &dir);
         let mut c = Client::connect(server.local_addr()).unwrap();
         assert_matches(&mut c, &oracle, m, "after restart 1");
         let more = drive(&mut c, m, 5, 16);
@@ -176,7 +177,7 @@ fn torn_wal_tail_restarts_with_the_durable_prefix() {
         sprofile::verify::derive_frequencies(&full_oracle),
         "the torn frame must actually change state for this test to bite"
     );
-    let server = start(BackendKind::Pipeline, m, &dir);
+    let server = start(BackendKind::Sharded { shards: 1 }, m, &dir);
     let mut c = Client::connect(server.local_addr()).unwrap();
     assert_matches(&mut c, &prefix, m, "after torn restart");
     c.quit().unwrap();

@@ -3,10 +3,10 @@
 //! query; malformed or truncated frames must yield an `ERR` reply and
 //! never panic the server or desync the connection.
 //!
-//! Both backends run behind **one long-lived server each** (sessions
-//! accumulate state, and so do the matching oracles) — cheaper than a
-//! server per case and a stronger test: every case starts from the state
-//! the previous cases left behind.
+//! Two shapes (5 shards and 1) run behind **one long-lived server each**
+//! (sessions accumulate state, and so do the matching oracles) — cheaper
+//! than a server per case and a stronger test: every case starts from
+//! the state the previous cases left behind.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -32,13 +32,13 @@ struct Ctx {
 fn ctx() -> MutexGuard<'static, Ctx> {
     static CTX: OnceLock<Mutex<Ctx>> = OnceLock::new();
     CTX.get_or_init(|| {
-        let backends = [BackendKind::Sharded { shards: 5 }, BackendKind::Pipeline]
+        let backends = [5, 1]
             .into_iter()
-            .map(|kind| {
+            .map(|shards| {
                 let server = Server::start(
                     ServerConfig {
                         m: M,
-                        backend: kind,
+                        backend: BackendKind::Sharded { shards },
                         workers: 2,
                         // Tiny threshold so sessions cross flush
                         // boundaries constantly.
@@ -160,7 +160,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Random well-formed sessions agree with the oracle on every query,
-    /// for both backends, with state accumulating across cases.
+    /// for both shapes, with state accumulating across cases.
     #[test]
     fn random_sessions_agree_with_the_oracle(ops in prop::collection::vec(op_strategy(), 1..40)) {
         let mut ctx = ctx();

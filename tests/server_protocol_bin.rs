@@ -50,7 +50,10 @@ struct Ctx {
     twins: Vec<Twins>,
 }
 
-const KINDS: [BackendKind; 2] = [BackendKind::Sharded { shards: 5 }, BackendKind::Pipeline];
+const KINDS: [BackendKind; 2] = [
+    BackendKind::Sharded { shards: 5 },
+    BackendKind::Sharded { shards: 1 },
+];
 
 fn start(kind: BackendKind) -> Server {
     Server::start(
@@ -332,7 +335,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Random sessions, each upgrading to binary on its own connection,
-    /// agree with the oracle on every answer for both backends — the
+    /// agree with the oracle on every answer for both shapes — the
     /// exact property the text suite proves, over the binary framing.
     /// The same session replayed over text on a twin server gives the
     /// same decoded answers, `ERR`s included, and moves the same

@@ -6,8 +6,7 @@
 //! exactly an oracle replay of the durable prefix: every record whose
 //! bytes fully precede the cut, or that a checkpoint already covers.
 //! The recovered state is checked both as the raw [`SProfile`] and
-//! through **both server backends** (sharded and pipeline) resumed from
-//! it.
+//! through the server's engine resumed from it, at 3 shards and at 1.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -15,7 +14,7 @@ use std::path::{Path, PathBuf};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use sprofile::{verify::derive_frequencies, SProfile, Tuple};
 use sprofile_persist::{is_segment_file, recover, SyncPolicy, Wal, WalOptions};
-use sprofile_server::{BackendKind, BackendOwner};
+use sprofile_server::BackendKind;
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sprofile-walprop-{}-{name}", std::process::id()));
@@ -142,11 +141,13 @@ fn crash_at_any_offset_recovers_exactly_the_durable_prefix() {
         );
         assert_eq!(recovered.next_lsn, durable.max(cp_lsn) + 1, "case {case}");
 
-        // Both server deployment shapes resume from the recovered
-        // profile and answer exactly like the oracle.
-        for kind in [BackendKind::Sharded { shards: 3 }, BackendKind::Pipeline] {
-            let owner = BackendOwner::build_recovered(kind, recovered.profile.clone());
-            let backend = owner.backend();
+        // Both server shapes resume from the recovered profile and
+        // answer exactly like the oracle.
+        for kind in [
+            BackendKind::Sharded { shards: 3 },
+            BackendKind::Sharded { shards: 1 },
+        ] {
+            let backend = kind.recover(&recovered.profile);
             for x in 0..m {
                 assert_eq!(
                     backend.frequency(x),
@@ -163,8 +164,6 @@ fn crash_at_any_offset_recovers_exactly_the_durable_prefix() {
                 "case {case} {kind:?}"
             );
             assert_eq!(backend.median(), oracle.median(), "case {case} {kind:?}");
-            drop(backend);
-            owner.shutdown();
         }
 
         fs::remove_dir_all(&dir).ok();
