@@ -127,7 +127,7 @@ impl PresenceTracker {
         self.audiences.profile().median().map(|f| f as u64)
     }
 
-    /// Number of channels with at least `k` viewers. O(log #blocks).
+    /// Number of channels with at least `k` viewers. O(log m).
     pub fn channels_with_at_least(&self, k: u64) -> u32 {
         self.audiences.count_at_least(k)
     }

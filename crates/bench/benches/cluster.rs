@@ -51,7 +51,9 @@ fn start_cluster(nodes: usize) -> (Vec<Server>, Vec<String>) {
             Server::start(
                 ServerConfig {
                     m: M,
-                    backend: BackendKind::Sharded { shards: 4 },
+                    // A multiple of SLICES: the count every node
+                    // rounds its shards up to anyway.
+                    backend: BackendKind::Sharded { shards: 12 },
                     workers: 3,
                     flush_every: 512,
                     cluster: Some(ClusterConfig {
@@ -161,7 +163,7 @@ fn record_json(_c: &mut Criterion) {
     let json = format!(
         "{{\n  \"bench\": \"cluster\",\n  \"m\": {M},\n  \"events\": {EVENTS},\n  \
          \"batch\": {BATCH},\n  \"slices\": {SLICES},\n  \
-         \"backend\": \"sharded4\",\n  \
+         \"backend\": \"sharded12\",\n  \
          \"routed_tuples_per_sec_by_nodes\": {{{}}},\n  \
          \"scatter_gather_queries_per_sec\": {query_best:.0}\n}}\n",
         cells.join(", "),

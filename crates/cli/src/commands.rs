@@ -409,7 +409,8 @@ pub struct ServeOpts {
     pub addr: String,
     /// Universe size.
     pub m: u32,
-    /// Shard count of the profile behind the socket (`--shards`).
+    /// Shard count of the profile behind the socket (`--shards`); a
+    /// cluster node rounds it up to a multiple of `--cluster-slices`.
     pub backend: BackendKind,
     /// Event-loop worker threads (`--workers`).
     pub workers: usize,
@@ -500,7 +501,8 @@ pub fn serve<W: Write>(opts: &ServeOpts, out: &mut W) -> Result<(), CommandError
         },
         opts.addr.as_str(),
     )?;
-    let BackendKind::Sharded { shards } = opts.backend;
+    // The effective count: a cluster node aligns it to its slices.
+    let shards = server.shards();
     let wal = match &opts.wal {
         Some(w) => format!(" wal={} sync={}", w.dir.display(), w.sync.name()),
         None => String::new(),
@@ -1553,8 +1555,9 @@ sprofile_uptime_seconds 3\n";
         assert_eq!(server.wait(), 2_000);
     }
 
-    #[test]
-    fn serve_announces_and_stops_on_shutdown() {
+    /// Runs `serve` with `backend` (and `cluster`) on an ephemeral port,
+    /// adds object 1 twice, shuts it down, and returns its output.
+    fn serve_once(backend: BackendKind, cluster: Option<ClusterConfig>) -> String {
         use std::sync::{Arc, Mutex};
 
         #[derive(Clone, Default)]
@@ -1573,7 +1576,7 @@ sprofile_uptime_seconds 3\n";
         let opts = ServeOpts {
             addr: "127.0.0.1:0".into(),
             m: 64,
-            backend: BackendKind::Sharded { shards: 1 },
+            backend,
             workers: 2,
             max_conns: 64,
             proto: WireProto::Text,
@@ -1586,7 +1589,7 @@ sprofile_uptime_seconds 3\n";
             failover_peers: None,
             heartbeat_ms: 500,
             failover_grace: 4,
-            cluster: None,
+            cluster,
             // `serve` sinks log lines to stderr by default; keep the
             // test run quiet by turning emission off.
             log_level: None,
@@ -1621,8 +1624,27 @@ sprofile_uptime_seconds 3\n";
             .unwrap();
         drop(c);
         handle.join().unwrap().unwrap();
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let bytes = buf.0.lock().unwrap().clone();
+        String::from_utf8(bytes).unwrap()
+    }
+
+    #[test]
+    fn serve_announces_and_stops_on_shutdown() {
+        let text = serve_once(BackendKind::Sharded { shards: 1 }, None);
         assert!(text.contains("backend=sharded(1) m=64"), "{text}");
+        assert!(text.contains("shutdown: 2 tuples applied"), "{text}");
+    }
+
+    #[test]
+    fn serve_announces_the_effective_shard_count() {
+        // A one-node cluster over 12 slices rounds 8 shards up to 12.
+        let cluster = ClusterConfig {
+            slices: 12,
+            node: 0,
+            nodes: vec!["127.0.0.1:0".into()],
+        };
+        let text = serve_once(BackendKind::Sharded { shards: 8 }, Some(cluster));
+        assert!(text.contains("backend=sharded(12) m=64"), "{text}");
         assert!(text.contains("shutdown: 2 tuples applied"), "{text}");
     }
 

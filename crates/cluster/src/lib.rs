@@ -10,15 +10,15 @@
 //! - [`ClusterClient`] routes writes to slice owners (one pipelined
 //!   binary `BATCH` frame per node), retries `ERR moved` rejections
 //!   against a refreshed map, and answers global queries by
-//!   scatter-gathering the per-node masked answers through exact-merge
-//!   code — cluster answers are bit-identical to a single profile over
-//!   the same stream.
+//!   scatter-gathering the per-node answers (each over the node's owned
+//!   slices) through exact-merge code — cluster answers are
+//!   bit-identical to a single profile over the same stream.
 //! - [`ChaosProxy`] is a TCP forwarder with a kill switch, used by the
 //!   chaos suites to cut a node off mid-run (network partition) and
 //!   heal it later.
 //!
-//! The merge rules (documented on [`router`]) mirror the server's
-//! masked query tie-breaks, so `mode`/`least`/`top_k`/`median`/
+//! The merge rules (documented on [`router`]) mirror the tie-breaks of
+//! the server's per-node queries, so `mode`/`least`/`top_k`/`median`/
 //! `count_at_least` agree exactly with `sprofile::SProfile` — ties
 //! included.
 

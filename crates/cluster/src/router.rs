@@ -3,9 +3,10 @@
 //!
 //! # Exactness
 //!
-//! Every node answers queries over its owned slices only (the server's
-//! masked query path), and this router merges those partial answers
-//! with the same tie-breaks the single-node profile uses:
+//! Every node answers queries over its owned slices only (folding the
+//! answers of the shards inside them), and this router merges those
+//! partial answers with the same tie-breaks the single-node profile
+//! uses:
 //!
 //! - `MODE`: maximum frequency, ties to the smallest object id.
 //! - `LEAST`: minimum frequency, ties to the smallest object id.
@@ -15,9 +16,12 @@
 //!   union by that order and truncating reproduces the single-profile
 //!   list exactly.
 //! - `CAL f`: partitions are disjoint, so the global count is the sum.
-//! - `MEDIAN`: the lower median is recovered by bisecting on `CAL`:
-//!   with `r = m − (m−1)/2`, the median is the largest value `v` with
-//!   `CAL(v) ≥ r`, bracketed by the merged least and mode frequencies.
+//! - `MEDIAN`: each node's lower median over its owned objects brackets
+//!   the global lower median between the smallest and largest of them.
+//!   With `r = m − (m−1)/2`, the global median is the largest value `v`
+//!   with `CAL(v) ≥ r`, bisected on summed `CAL` inside that bracket
+//!   only ([`sprofile::lower_median_of_parts`]): one `MEDIAN` per node,
+//!   and no `CAL` round at all when the node medians agree.
 //!
 //! # Moved retries
 //!
@@ -34,7 +38,7 @@
 use std::thread;
 use std::time::{Duration, Instant};
 
-use sprofile::Tuple;
+use sprofile::{lower_median_of_parts, Tuple};
 use sprofile_obs::hist::LogHistogram;
 use sprofile_persist::PartitionMap;
 use sprofile_server::protocol::MAX_BATCH;
@@ -334,29 +338,18 @@ impl ClusterClient {
         Ok(total)
     }
 
-    /// Global lower median, recovered by bisecting on `CAL` between the
-    /// merged least and mode frequencies.
+    /// Global lower median: one `MEDIAN` per node brackets it, and
+    /// summed `CAL` rounds bisect only inside the bracket
+    /// ([`lower_median_of_parts`]).
     pub fn median(&mut self) -> ClientResult<Option<i64>> {
-        if self.m == 0 {
-            return Ok(None);
+        let mut medians = Vec::with_capacity(self.nodes.len());
+        for i in 0..self.nodes.len() {
+            // A node that owns no slice has no median.
+            medians.extend(self.timed(i, |n| n.median())?);
         }
-        let Some((_, mut lo)) = self.least()? else {
-            return Ok(None);
-        };
-        let Some((_, mut hi)) = self.mode()? else {
-            return Ok(None);
-        };
-        // Number of frequencies ≥ the lower median.
-        let rank = u64::from(self.m) - u64::from(self.m - 1) / 2;
-        while lo < hi {
-            let mid = lo + (((i128::from(hi) - i128::from(lo) + 1) / 2) as i64);
-            if u64::from(self.count_at_least(mid)?) >= rank {
-                lo = mid;
-            } else {
-                hi = mid - 1;
-            }
-        }
-        Ok(Some(lo))
+        lower_median_of_parts(u64::from(self.m), medians, |v| {
+            self.count_at_least(v).map(u64::from)
+        })
     }
 
     /// Per-object frequency, routed to the slice owner with moved

@@ -193,3 +193,74 @@ fn a_three_node_cluster_agrees_with_the_oracle_through_a_live_migrate() {
     node0.shutdown();
     std::fs::remove_dir_all(&base).ok();
 }
+
+/// Node round trips the router has made so far, over every node.
+fn node_calls(router: &ClusterClient) -> u64 {
+    router.node_latency_us().iter().map(|h| h.count()).sum()
+}
+
+#[test]
+fn median_takes_one_call_per_node_when_node_medians_agree() {
+    let m = 64u32;
+    let slices = 4u32;
+    let base = temp_base("median");
+    let addrs = reserve_addrs(2);
+    let servers: Vec<Server> = (0..2u32)
+        .map(|i| {
+            start_node(
+                m,
+                slices,
+                i,
+                &addrs,
+                base.join(format!("node{i}")),
+                BackendKind::Sharded { shards: 2 },
+            )
+        })
+        .collect();
+    let mut router = ClusterClient::connect(&addrs[0]).expect("router");
+    let mut oracle = SProfile::new(m);
+    // Adds `adds(x)` to every object `x`, through the router and the oracle.
+    let apply = |router: &mut ClusterClient, oracle: &mut SProfile, adds: &dyn Fn(u32) -> usize| {
+        let tuples: Vec<Tuple> = (0..m)
+            .flat_map(|x| std::iter::repeat_n(Tuple::add(x), adds(x)))
+            .collect();
+        assert_eq!(router.batch(&tuples).expect("batch"), tuples.len() as u64);
+        oracle.apply_batch(&tuples);
+    };
+    let node_median = |i: usize| {
+        let mut c = Client::connect(&addrs[i]).expect("node");
+        let median = c.median().expect("node median");
+        c.quit().expect("quit");
+        median
+    };
+
+    // Every object at frequency 3: both node medians are 3, so the
+    // bracket is one value and no CAL round is needed.
+    apply(&mut router, &mut oracle, &|_| 3);
+    assert_eq!(node_median(0), node_median(1));
+    let before = node_calls(&router);
+    assert_eq!(router.median().expect("median"), oracle.median());
+    assert_eq!(node_calls(&router) - before, 2, "one MEDIAN per node");
+
+    // Skewed split: node 0 owns the even ids (slices 0 and 2) and node
+    // 1 the odd ones. Even x climbs to 3 + x/2, odd x to 19 + x/2, so
+    // the node medians are 18 and 34 and the global one (26) lies
+    // strictly between them.
+    apply(&mut router, &mut oracle, &|x| {
+        (x / 2 + if x % 2 == 1 { 16 } else { 0 }) as usize
+    });
+    assert_eq!((node_median(0), node_median(1)), (Some(18), Some(34)));
+    let before = node_calls(&router);
+    assert_eq!(router.median().expect("median"), oracle.median());
+    assert_eq!(oracle.median(), Some(26));
+    assert!(
+        node_calls(&router) - before > 2,
+        "CAL rounds bisected the bracket"
+    );
+
+    router.close().expect("close router");
+    for s in servers {
+        s.shutdown();
+    }
+    std::fs::remove_dir_all(&base).ok();
+}

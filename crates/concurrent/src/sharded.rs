@@ -1,8 +1,10 @@
 //! Universe-partitioned sharding: `p` independent S-Profiles behind
 //! mutexes, global answers combined on demand.
 
+use std::convert::Infallible;
+
 use parking_lot::Mutex;
-use sprofile::{SProfile, Tuple};
+use sprofile::{lower_median_of_parts, SProfile, Tuple};
 
 /// A multi-writer profile over `[0, m)`, sharded by `object % p`.
 ///
@@ -212,9 +214,9 @@ impl ShardedProfile {
         self.shards[s].lock().frequency(local)
     }
 
-    /// Global mode `(object, frequency)`: the per-shard O(1) modes
-    /// combined in O(p). Ties break to the smallest object id so the
-    /// answer is deterministic. `None` for an empty universe.
+    /// Global mode `(object, frequency)`, ties to the smallest object
+    /// id; `None` for an empty universe. [`Self::mode_in`] over every
+    /// shard.
     ///
     /// Shards are locked one at a time, so concurrent updates may land
     /// between shard reads; the answer is a consistent *per-shard*
@@ -223,75 +225,27 @@ impl ShardedProfile {
     ///
     /// [`PipelineProfiler`]: crate::PipelineProfiler
     pub fn mode(&self) -> Option<(u32, i64)> {
-        self.fold_extreme(
-            |p| {
-                p.mode().map(|e| e.frequency).map(|f| {
-                    let obj = p.mode_objects().iter().copied().min().expect("non-empty");
-                    (obj, f)
-                })
-            },
-            |best, cand| cand.1 > best.1 || (cand.1 == best.1 && cand.0 < best.0),
-        )
+        self.mode_in(|_| true)
     }
 
     /// Global least-frequent `(object, frequency)`; see [`Self::mode`]
     /// for consistency semantics.
     pub fn least(&self) -> Option<(u32, i64)> {
-        self.fold_extreme(
-            |p| {
-                p.least().map(|e| e.frequency).map(|f| {
-                    let obj = p.least_objects().iter().copied().min().expect("non-empty");
-                    (obj, f)
-                })
-            },
-            |best, cand| cand.1 < best.1 || (cand.1 == best.1 && cand.0 < best.0),
-        )
-    }
-
-    fn fold_extreme(
-        &self,
-        pick: impl Fn(&SProfile) -> Option<(u32, i64)>,
-        beats: impl Fn((u32, i64), (u32, i64)) -> bool,
-    ) -> Option<(u32, i64)> {
-        let mut best: Option<(u32, i64)> = None;
-        for (s, shard) in self.shards.iter().enumerate() {
-            let guard = shard.lock();
-            if let Some((local, f)) = pick(&guard) {
-                let cand = (self.global_id(s, local), f);
-                best = match best {
-                    Some(b) if !beats(b, cand) => Some(b),
-                    _ => Some(cand),
-                };
-            }
-        }
-        best
+        self.least_in(|_| true)
     }
 
     /// The lower median frequency over all `m` objects — the same
     /// convention as [`SProfile::median`] (position `⌊(m−1)/2⌋` of the
-    /// ascending sorted array). `None` iff `m == 0`.
-    ///
-    /// Per-shard medians do not combine, so this materialises the merged
-    /// frequency vector and selects in O(m); it is a global read meant
-    /// for occasional queries, not the hot path. Consistency semantics
-    /// match [`Self::mode`] (per-shard snapshot combination).
+    /// ascending sorted array), `None` iff `m == 0`:
+    /// [`Self::median_in`] over every shard.
     pub fn median(&self) -> Option<i64> {
-        if self.m == 0 {
-            return None;
-        }
-        let mut freqs = self.merged_frequencies();
-        let mid = ((self.m - 1) / 2) as usize;
-        let (_, median, _) = freqs.select_nth_unstable(mid);
-        Some(*median)
+        self.median_in(|_| true)
     }
 
-    /// Number of objects with frequency ≥ `threshold` (sum of per-shard
-    /// O(log #blocks) counts).
+    /// Number of objects with frequency ≥ `threshold`: the sum of the
+    /// per-shard O(log m) counts, O(p log m).
     pub fn count_at_least(&self, threshold: i64) -> u32 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().count_at_least(threshold))
-            .sum()
+        self.count_at_least_in(|_| true, threshold)
     }
 
     /// Net stream length (adds − removes) across all shards.
@@ -315,19 +269,114 @@ impl ShardedProfile {
     /// Global top-K `(object, frequency)`, most frequent first, equal
     /// frequencies ascending by object id — exactly the list
     /// [`SProfile::top_k`] returns for the same frequencies, shard count
-    /// notwithstanding.
-    ///
-    /// Each shard is asked for its top-K **with ties over-fetched at the
-    /// cut** ([`SProfile::top_k_with_ties`]): arbitrarily truncating
-    /// per-shard lists at exactly `k` could drop a small-id object tied
-    /// at a shard's boundary while a larger-id tied object from another
-    /// shard survived, making the merged answer disagree with the
-    /// single-profile answer. At most `2k − 1` entries per shard are
-    /// gathered under staggered locks (each shard additionally pays a
-    /// scan of its cut-straddling frequency class), then one sort.
+    /// notwithstanding: the first `k` entries of
+    /// [`Self::top_k_with_ties_in`] over every shard.
     pub fn top_k(&self, k: u32) -> Vec<(u32, i64)> {
-        let mut all: Vec<(u32, i64)> = Vec::with_capacity(self.shards.len() * k as usize);
-        for (s, shard) in self.shards.iter().enumerate() {
+        let mut top = self.top_k_with_ties_in(|_| true, k);
+        top.truncate(k as usize);
+        top
+    }
+
+    // -----------------------------------------------------------------
+    // Queries over a set of shards. `shards` selects shard indices in
+    // `0..num_shards()`; each answer covers the selected shards' objects
+    // only, with the whole-profile rules. A cluster node whose shards
+    // are aligned to its hash slices passes the shards it owns.
+    // -----------------------------------------------------------------
+
+    /// The most frequent object of the selected shards, ties to the
+    /// smallest id: the per-shard O(1) modes folded in O(p), plus a scan
+    /// of each shard's mode class for its smallest id. `None` when no
+    /// selected shard holds an object.
+    pub fn mode_in(&self, shards: impl Fn(usize) -> bool) -> Option<(u32, i64)> {
+        self.fold_extreme(
+            shards,
+            |p| Some((*p.mode_objects().iter().min()?, p.mode()?.frequency)),
+            |best, cand| cand.1 > best.1 || (cand.1 == best.1 && cand.0 < best.0),
+        )
+    }
+
+    /// The least-frequent counterpart of [`Self::mode_in`].
+    pub fn least_in(&self, shards: impl Fn(usize) -> bool) -> Option<(u32, i64)> {
+        self.fold_extreme(
+            shards,
+            |p| Some((*p.least_objects().iter().min()?, p.least()?.frequency)),
+            |best, cand| cand.1 < best.1 || (cand.1 == best.1 && cand.0 < best.0),
+        )
+    }
+
+    fn fold_extreme(
+        &self,
+        shards: impl Fn(usize) -> bool,
+        pick: impl Fn(&SProfile) -> Option<(u32, i64)>,
+        beats: impl Fn((u32, i64), (u32, i64)) -> bool,
+    ) -> Option<(u32, i64)> {
+        let mut best: Option<(u32, i64)> = None;
+        for (s, shard) in self.selected(&shards) {
+            let guard = shard.lock();
+            if let Some((local, f)) = pick(&guard) {
+                let cand = (self.global_id(s, local), f);
+                best = match best {
+                    Some(b) if !beats(b, cand) => Some(b),
+                    _ => Some(cand),
+                };
+            }
+        }
+        best
+    }
+
+    /// The lower median over the selected shards' objects, from the
+    /// shards' O(1) medians and O(log m) threshold counts through
+    /// [`sprofile::lower_median_of_parts`]: the answer lies between the
+    /// smallest and largest shard median, and is bisected on the summed
+    /// counts only inside that bracket — O(p) when the shard medians
+    /// agree, O(p log m · log(hi − lo)) otherwise. The selected shards
+    /// are locked together (in index order) for the whole search, so the
+    /// answer is exact for one state of them. `None` when no selected
+    /// shard holds an object.
+    pub fn median_in(&self, shards: impl Fn(usize) -> bool) -> Option<i64> {
+        let guards: Vec<_> = self.selected(&shards).map(|(_, s)| s.lock()).collect();
+        let total = guards.iter().map(|p| u64::from(p.num_objects())).sum();
+        let median = lower_median_of_parts(total, guards.iter().filter_map(|p| p.median()), |v| {
+            Ok::<u64, Infallible>(guards.iter().map(|p| u64::from(p.count_at_least(v))).sum())
+        });
+        median.unwrap_or_else(|never| match never {})
+    }
+
+    /// Number of the selected shards' objects with frequency ≥
+    /// `threshold`: a sum of per-shard O(log m) counts.
+    pub fn count_at_least_in(&self, shards: impl Fn(usize) -> bool, threshold: i64) -> u32 {
+        self.selected(&shards)
+            .map(|(_, s)| s.lock().count_at_least(threshold))
+            .sum()
+    }
+
+    /// The selected shards' top `k` **with ties over-fetched at the
+    /// cut**, in the shape of [`SProfile::top_k_with_ties`]: frequency
+    /// descending, ids ascending within a frequency, every class above
+    /// the cut whole and the class straddling the cut truncated to its
+    /// `k` smallest ids (at most `2k − 1` entries). This is the shape a
+    /// cluster node's `TOPK` reply has.
+    ///
+    /// Each shard contributes its own `top_k_with_ties(k)` under its
+    /// lock; the union is sorted once and re-cut the same way. The union
+    /// holds every selected object above the cut and the `k` smallest
+    /// ids of the cut class (each is among the `k` smallest of that class
+    /// in its own shard), so the re-cut list is exact — and merging such
+    /// lists from disjoint parts (other shards, other cluster nodes) and
+    /// truncating at `k` reproduces the single-profile top `k`.
+    pub fn top_k_with_ties_in(&self, shards: impl Fn(usize) -> bool, k: u32) -> Vec<(u32, i64)> {
+        if k == 0 {
+            return Vec::new();
+        }
+        // At most 2k − 1 entries per shard and never more than m.
+        let bound = self
+            .shards
+            .len()
+            .saturating_mul(2 * k as usize)
+            .min(self.m as usize);
+        let mut all: Vec<(u32, i64)> = Vec::with_capacity(bound);
+        for (s, shard) in self.selected(&shards) {
             let guard = shard.lock();
             all.extend(
                 guard
@@ -337,8 +386,25 @@ impl ShardedProfile {
             );
         }
         all.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        all.truncate(k as usize);
+        let k = k as usize;
+        if all.len() > k {
+            let cut = all[k - 1].1;
+            let class_start = all.partition_point(|&(_, f)| f > cut);
+            let class_len = all[class_start..].partition_point(|&(_, f)| f == cut);
+            all.truncate(class_start + class_len.min(k));
+        }
         all
+    }
+
+    /// The shards `shards` selects, with their indices.
+    fn selected<'a>(
+        &'a self,
+        shards: &'a impl Fn(usize) -> bool,
+    ) -> impl Iterator<Item = (usize, &'a Mutex<SProfile>)> + 'a {
+        self.shards
+            .iter()
+            .enumerate()
+            .filter(move |&(s, _)| shards(s))
     }
 
     /// Frequencies of all `m` objects in global-id order — the merge
@@ -606,22 +672,93 @@ mod tests {
 
     #[test]
     fn median_matches_the_single_profile() {
-        for (m, shards) in [(1u32, 1usize), (7, 3), (16, 4), (33, 8)] {
-            let sp = ShardedProfile::new(m, shards);
-            let mut seq = SProfile::new(m);
-            for i in 0..(m * 37) {
-                let x = (i * 13 + i / 7) % m;
-                if i % 5 == 0 {
-                    sp.remove(x);
-                    seq.remove(x);
+        // Even and odd universes; a uniform-ish stream, one skewed by
+        // shard (so the shard medians differ and the bracket is wide),
+        // and one skewed by a heavy hitter with negative frequencies.
+        // Op `i` of a stream over `m` objects: (object, is_add).
+        type Op = fn(u32, u32) -> (u32, bool);
+        let streams: [(&str, Op); 3] = [
+            ("uniform", |i, m| ((i * 13 + i / 7) % m, i % 5 != 0)),
+            ("by shard", |i, m| {
+                let x = (i * 7 + i / 3) % m;
+                (x, i % (x % 3 + 2) != 0)
+            }),
+            ("heavy", |i, m| {
+                if i % 3 == 0 {
+                    (0, true)
                 } else {
-                    sp.add(x);
-                    seq.add(x);
+                    ((i * 5) % m, i % 2 == 0)
+                }
+            }),
+        ];
+        for m in [1u32, 2, 7, 16, 33, 64] {
+            for shards in [1usize, 3, 8] {
+                for (name, op) in streams {
+                    let sp = ShardedProfile::new(m, shards);
+                    let mut seq = SProfile::new(m);
+                    for i in 0..(m * 37) {
+                        let (x, add) = op(i, m);
+                        if add {
+                            sp.add(x);
+                            seq.add(x);
+                        } else {
+                            sp.remove(x);
+                            seq.remove(x);
+                        }
+                    }
+                    let ctx = format!("m={m} shards={shards} {name}");
+                    assert_eq!(sp.median(), seq.median(), "{ctx}");
+                    let lo = seq.least().unwrap().frequency;
+                    let hi = seq.mode().unwrap().frequency;
+                    for t in lo - 1..=hi + 1 {
+                        assert_eq!(sp.count_at_least(t), seq.count_at_least(t), "{ctx} t={t}");
+                    }
+                    for k in [1u32, 2, 5, m] {
+                        assert_eq!(sp.top_k(k), seq.top_k(k), "{ctx} k={k}");
+                    }
                 }
             }
-            assert_eq!(sp.median(), seq.median(), "m={m} shards={shards}");
         }
         assert_eq!(ShardedProfile::new(0, 4).median(), None);
+    }
+
+    #[test]
+    fn queries_over_a_shard_set_cover_only_its_objects() {
+        let m = 40u32;
+        let sp = ShardedProfile::new(m, 4);
+        for x in 0..m {
+            for _ in 0..(x * 7) % 11 {
+                sp.add(x);
+            }
+        }
+        // Shards 1 and 3: the odd ids.
+        let odd = |s: usize| s % 2 == 1;
+        let owned: Vec<i64> = (0..m)
+            .filter(|x| x % 2 == 1)
+            .map(|x| sp.frequency(x))
+            .collect();
+        let part = SProfile::from_frequencies(&owned);
+        let global = |(local, f): (u32, i64)| (2 * local + 1, f);
+        assert_eq!(sp.median_in(odd), part.median());
+        assert_eq!(sp.count_at_least_in(odd, 5), part.count_at_least(5));
+        let mode = part.mode_objects().iter().copied().min().unwrap();
+        assert_eq!(
+            sp.mode_in(odd),
+            Some(global((mode, part.mode().unwrap().frequency)))
+        );
+        let least = part.least_objects().iter().copied().min().unwrap();
+        assert_eq!(
+            sp.least_in(odd),
+            Some(global((least, part.least().unwrap().frequency)))
+        );
+        for k in [1u32, 3, 7, 20] {
+            let want: Vec<(u32, i64)> = part.top_k_with_ties(k).into_iter().map(global).collect();
+            assert_eq!(sp.top_k_with_ties_in(odd, k), want, "k={k}");
+        }
+        // An empty selection has no answer.
+        assert_eq!(sp.median_in(|_| false), None);
+        assert_eq!(sp.mode_in(|_| false), None);
+        assert_eq!(sp.top_k_with_ties_in(|_| false, 3), vec![]);
     }
 
     #[test]

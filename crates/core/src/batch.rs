@@ -33,8 +33,8 @@ use crate::error::{Error, Result};
 use crate::profile::SProfile;
 use crate::window::Tuple;
 
-/// How [`SProfile::apply_batch_using`] ingests a batch; see the
-/// [module docs](self) for the cost model.
+/// How [`SProfile::apply_batch_using`] ingests a batch; each variant
+/// states its cost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchStrategy {
     /// Per-tuple replay through the O(1) update rule: O(b).
@@ -84,8 +84,8 @@ impl SProfile {
     /// automatically. Returns the number of tuples applied.
     ///
     /// Equivalent to `for t in batch { self.apply(*t); }` — same
-    /// frequencies, aggregates, and query answers (iterator tie
-    /// placement aside; see the [module docs](self)) — but amortized:
+    /// frequencies, aggregates, and query answers (the iterators may
+    /// order equal-frequency objects differently) — but amortized:
     /// large batches are folded into one O(m + b) counting-sort rebuild
     /// instead of b pointer-chasing updates. All object ids are validated
     /// *before* any mutation, so a panic leaves the profile unchanged.

@@ -17,6 +17,7 @@
 //! | least-frequent object | O(1) |
 //! | k-th largest / smallest frequency | O(1) |
 //! | median / arbitrary quantile | O(1) |
+//! | objects at or above / below a frequency | O(log m) |
 //! | top-K listing (deterministic tie order) | O(K log K + tie class at the cut) |
 //! | frequency histogram | O(#distinct frequencies) |
 //! | per-object frequency | O(1) |
@@ -92,7 +93,7 @@ pub use interner::Interner;
 pub use iter::{AscendingIter, ClassIter, DescendingIter, FrequencyClass};
 pub use multiset::Multiset;
 pub use profile::{Extreme, SProfile};
-pub use query::FrequencyBucket;
+pub use query::{lower_median_of_parts, FrequencyBucket};
 pub use snapshot::SnapshotError;
 pub use stats::FrequencySummary;
 pub use traits::{FrequencyProfiler, RankQueries};

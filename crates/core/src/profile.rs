@@ -24,7 +24,8 @@ use crate::error::{Error, Result};
 
 /// O(1)-per-update profile of a dynamic array with object ids in `0..m`.
 ///
-/// See the [module docs](self) and the crate-level quickstart.
+/// See the [crate docs](crate) for the cost of each query and a
+/// quickstart.
 ///
 /// # Example
 /// ```

@@ -8,7 +8,11 @@
 //! * median and arbitrary quantiles — O(1),
 //! * top-K listing — O(K),
 //! * frequency histogram — O(#blocks),
-//! * counts by frequency threshold — O(#blocks at or above the threshold).
+//! * counts by frequency threshold — O(log m), a binary search over the
+//!   positions of `T`.
+//!
+//! [`lower_median_of_parts`] lifts the median to a profile split into
+//! disjoint parts (shards, cluster nodes) without materialising it.
 
 use crate::error::{Error, Result};
 use crate::profile::SProfile;
@@ -209,50 +213,32 @@ impl SProfile {
         out
     }
 
-    /// Number of objects with frequency `>= threshold`. O(#blocks above the
-    /// threshold) — walks blocks downward from the maximum.
+    /// Number of objects with frequency `>= threshold`. O(log m).
     pub fn count_at_least(&self, threshold: i64) -> u32 {
-        let m = self.num_objects();
-        if m == 0 {
-            return 0;
-        }
-        let mut count = 0u32;
-        let mut pos = m - 1;
-        loop {
-            let b = self.block_at(pos);
-            if b.f < threshold {
-                break;
-            }
-            count += b.len();
-            if b.l == 0 {
-                break;
-            }
-            pos = b.l - 1;
-        }
-        count
+        self.num_objects() - self.partition_point(|f| f < threshold)
     }
 
-    /// Number of objects with frequency `<= threshold`. O(#blocks below the
-    /// threshold).
+    /// Number of objects with frequency `<= threshold`. O(log m).
     pub fn count_at_most(&self, threshold: i64) -> u32 {
-        let m = self.num_objects();
-        if m == 0 {
-            return 0;
-        }
-        let mut count = 0u32;
-        let mut pos = 0u32;
-        loop {
-            let b = self.block_at(pos);
-            if b.f > threshold {
-                break;
+        self.partition_point(|f| f <= threshold)
+    }
+
+    /// The first position of `T` whose frequency fails `below`, for a
+    /// `below` that holds on a prefix of the ascending order (`m` if it
+    /// holds everywhere). A binary search over positions: each probe is
+    /// one O(1) `block_at` lookup and moves a bound past the whole block
+    /// it lands in, so O(log m) probes.
+    fn partition_point(&self, below: impl Fn(i64) -> bool) -> u32 {
+        let (mut lo, mut hi) = (0u32, self.num_objects());
+        while lo < hi {
+            let b = self.block_at(lo + (hi - lo) / 2);
+            if below(b.f) {
+                lo = b.r + 1;
+            } else {
+                hi = b.l;
             }
-            count += b.len();
-            if b.r == m - 1 {
-                break;
-            }
-            pos = b.r + 1;
         }
-        count
+        lo
     }
 
     /// Number of objects with frequency in `lo..=hi`.
@@ -304,6 +290,63 @@ impl SProfile {
             None
         }
     }
+}
+
+/// The lower median of a multiset split into disjoint non-empty parts,
+/// computed from each part's own lower median (the [`SProfile::median`]
+/// convention) and a threshold count over the whole — the merge behind
+/// a sharded profile's or a cluster's `MEDIAN`.
+///
+/// `total` is the number of values across all parts, `medians` yields
+/// one lower median per part, and `count_at_least(v)` returns how many
+/// values of the whole are `>= v`. The whole's lower median lies between
+/// the smallest and the largest part median: every part has fewer than
+/// half of its values below its own median, and at least half at or
+/// below it. So the answer is bisected on `count_at_least` inside that
+/// bracket only: ⌈log₂(hi − lo + 1)⌉ calls, and none when the part
+/// medians agree. The first error `count_at_least` returns ends the
+/// search and is passed through. `Ok(None)` iff there are no parts.
+///
+/// # Example
+/// ```
+/// use std::convert::Infallible;
+/// use sprofile::{lower_median_of_parts, SProfile};
+///
+/// let parts = [
+///     SProfile::from_frequencies(&[1, 9, 4]),
+///     SProfile::from_frequencies(&[2, 2, 7, 8]),
+/// ];
+/// let median = lower_median_of_parts(7, parts.iter().filter_map(SProfile::median), |v| {
+///     Ok::<u64, Infallible>(parts.iter().map(|p| u64::from(p.count_at_least(v))).sum())
+/// });
+/// let whole = SProfile::from_frequencies(&[1, 9, 4, 2, 2, 7, 8]);
+/// assert_eq!(median, Ok(whole.median()));
+/// ```
+pub fn lower_median_of_parts<E>(
+    total: u64,
+    medians: impl IntoIterator<Item = i64>,
+    mut count_at_least: impl FnMut(i64) -> std::result::Result<u64, E>,
+) -> std::result::Result<Option<i64>, E> {
+    let Some((mut lo, mut hi)) = medians
+        .into_iter()
+        .fold(None, |acc: Option<(i64, i64)>, v| {
+            Some(acc.map_or((v, v), |(lo, hi)| (lo.min(v), hi.max(v))))
+        })
+    else {
+        return Ok(None);
+    };
+    // The lower median sits at position ⌊(total−1)/2⌋ of the ascending
+    // order, so it is the largest `v` with this many values `>= v`.
+    let rank = total - total.saturating_sub(1) / 2;
+    while lo < hi {
+        let mid = ((i128::from(lo) + i128::from(hi) + 1) >> 1) as i64;
+        if count_at_least(mid)? >= rank {
+            lo = mid;
+        } else {
+            hi = mid - 1;
+        }
+    }
+    Ok(Some(lo))
 }
 
 #[cfg(test)]
@@ -450,6 +493,22 @@ mod tests {
         assert_eq!(p.count_in_range(1, 1), 0);
         assert_eq!(p.count_in_range(5, 1), 0);
         assert_eq!(p.count_in_range(i64::MIN, i64::MAX), 6);
+    }
+
+    #[test]
+    fn lower_median_of_parts_edges() {
+        assert_eq!(lower_median_of_parts(0, [], |_| Ok::<u64, ()>(0)), Ok(None));
+        // Agreeing parts need no count at all.
+        let no_count = |_| Err::<u64, &str>("no count expected");
+        assert_eq!(lower_median_of_parts(6, [4, 4], no_count), Ok(Some(4)));
+        // The first failing count ends the search.
+        let down = |_| Err::<u64, &str>("down");
+        assert_eq!(lower_median_of_parts(6, [0, 9], down), Err("down"));
+        // A bracket spanning all of i64 bisects without overflow.
+        let values = [i64::MIN, i64::MAX];
+        let extremes = |v| Ok::<u64, ()>(values.iter().filter(|&&f| f >= v).count() as u64);
+        let median = lower_median_of_parts(2, [i64::MIN, i64::MAX], extremes);
+        assert_eq!(median, Ok(Some(i64::MIN)));
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! with a naive model.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 use proptest::prelude::*;
 
 use sprofile::verify::{check_invariants, derive_frequencies};
-use sprofile::{Multiset, SProfile, SlidingWindowProfile, Tuple};
+use sprofile::{lower_median_of_parts, Multiset, SProfile, SlidingWindowProfile, Tuple};
 
 /// An op on a universe of size `m`: (object index, is_add).
 fn ops_strategy(m: u32, max_len: usize) -> impl Strategy<Value = Vec<(u32, bool)>> {
@@ -123,13 +124,45 @@ proptest! {
             }
         }
         prop_assert_eq!(from_hist, sorted.clone());
-        // Threshold counts at every distinct frequency boundary.
+        // Threshold counts at every frequency, one either side of it
+        // (where an off-by-one in the search shows), and at the extremes.
+        let mut probes = vec![i64::MIN, i64::MAX];
         for &t in sorted.iter() {
+            probes.extend([t - 1, t, t + 1]);
+        }
+        for &t in &probes {
             let want_ge = sorted.iter().filter(|&&f| f >= t).count() as u32;
             let want_le = sorted.iter().filter(|&&f| f <= t).count() as u32;
-            prop_assert_eq!(p.count_at_least(t), want_ge);
-            prop_assert_eq!(p.count_at_most(t), want_le);
+            prop_assert_eq!(p.count_at_least(t), want_ge, "threshold {}", t);
+            prop_assert_eq!(p.count_at_most(t), want_le, "threshold {}", t);
         }
+        for &lo in &probes {
+            for &hi in &probes {
+                let want = sorted.iter().filter(|&&f| lo <= f && f <= hi).count() as u32;
+                prop_assert_eq!(p.count_in_range(lo, hi), want, "range {}..={}", lo, hi);
+            }
+        }
+    }
+
+    #[test]
+    fn lower_median_of_parts_matches_the_sorted_union(
+        parts in prop::collection::vec(prop::collection::vec(-50i64..50, 1..41), 1..9),
+    ) {
+        let profiles: Vec<SProfile> = parts.iter().map(|f| SProfile::from_frequencies(f)).collect();
+        let mut union: Vec<i64> = parts.concat();
+        union.sort_unstable();
+        let total = union.len() as u64;
+        let mut calls = 0u32;
+        let median = lower_median_of_parts(total, profiles.iter().filter_map(SProfile::median), |v| {
+            calls += 1;
+            Ok::<u64, Infallible>(profiles.iter().map(|p| u64::from(p.count_at_least(v))).sum())
+        });
+        prop_assert_eq!(median, Ok(Some(union[(union.len() - 1) / 2])));
+        // The search stays inside the bracket the part medians span.
+        let medians: Vec<i64> = profiles.iter().filter_map(SProfile::median).collect();
+        let lo = *medians.iter().min().unwrap();
+        let hi = *medians.iter().max().unwrap();
+        prop_assert!(calls <= 64 - (hi - lo).leading_zeros(), "{} calls for [{}, {}]", calls, lo, hi);
     }
 
     #[test]

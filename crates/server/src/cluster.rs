@@ -1,5 +1,5 @@
-//! The server-side cluster layer: slice ownership, masked queries, and
-//! the migration source/sink plumbing.
+//! The server-side cluster layer: slice ownership, slice-aligned shards,
+//! and the migration source/sink plumbing.
 //!
 //! A cluster node is an ordinary full-universe server plus a
 //! [`ClusterState`]: the node's index, the current versioned
@@ -9,14 +9,19 @@
 //! universe is partitioned exactly — every object has one owner, and
 //! the union of all nodes' owned sets is the whole universe.
 //!
-//! That partition is what makes scatter-gather exact: each query below
-//! masks the backend's full frequency vector to the owned objects with
-//! the same tie-breaking rules the single-profile code uses (mode/least
-//! ties break to the smallest id, top-k orders by frequency descending
-//! then id ascending with the cut-straddling tie class over-fetched),
-//! so a router merging per-node answers reproduces the single-profile
-//! answer bit for bit — the `ShardedProfile` merge argument, lifted to
-//! nodes.
+//! That partition is what makes scatter-gather exact. A node runs its
+//! `ShardedProfile` with a shard count aligned to the slices
+//! ([`ClusterConfig::aligned_shards`]), so every shard lies inside one
+//! slice and the node answers each query from its owned shards' own
+//! answers, never by visiting objects: MODE/LEAST fold the shards'
+//! extremes (ties to the smallest id), TOPK re-cuts the shards' top-k
+//! lists (frequency descending, id ascending, the tie class at the cut
+//! over-fetched), CAL sums the shards' counts, and MEDIAN bisects
+//! between the shards' medians. A router merging per-node answers with
+//! the same rules reproduces the single-profile answer bit for bit — the
+//! `ShardedProfile` merge argument, lifted to nodes. Medians lift too:
+//! the node medians bracket the global median, so the router bisects on
+//! summed `CAL` only between the smallest and largest node median.
 //!
 //! Writes for objects this node does not own are refused whole-frame
 //! with the typed redirect `ERR moved <ver>`; a router that sees it
@@ -26,7 +31,6 @@
 use std::path::PathBuf;
 use std::sync::RwLock;
 
-use sprofile_concurrent::ShardedProfile;
 use sprofile_persist::{read_partition_map, write_partition_map, PartitionMap};
 
 use crate::metrics::Counter;
@@ -42,6 +46,20 @@ pub struct ClusterConfig {
     pub node: u32,
     /// Every node's client address, in index order.
     pub nodes: Vec<String>,
+}
+
+impl ClusterConfig {
+    /// The shard count a node runs when asked for `requested`: rounded
+    /// up to a multiple of the slice count. Object `x` lives in shard
+    /// `x % p` and slice `x % slices`, so when `slices` divides `p`,
+    /// shard `s` holds only objects of slice `s % slices`; and when
+    /// `ShardedProfile::new` clamps `p` down to `m`, shard `s` holds the
+    /// one object `s`. Either way each shard lies inside one slice.
+    pub(crate) fn aligned_shards(&self, requested: usize) -> usize {
+        let slices = self.slices.max(1) as usize;
+        // Saturating: a count past usize is clamped to `m` anyway.
+        requested.max(1).div_ceil(slices).saturating_mul(slices)
+    }
 }
 
 /// Live cluster state hung off the server's `Shared`.
@@ -130,6 +148,15 @@ impl ClusterState {
             owners: map.owners.clone(),
             node: self.node,
         }
+    }
+
+    /// The shards a query on this node answers over: the ones inside
+    /// its owned slices, under a point-in-time ownership snapshot. Shard
+    /// `s` of the slice-aligned backend ([`ClusterConfig::aligned_shards`])
+    /// lies inside slice `s % slices`, the slice object id `s` falls in.
+    pub(crate) fn owned_shards(&self) -> impl Fn(usize) -> bool {
+        let mask = self.mask();
+        move |s| mask.owned(s as u32)
     }
 
     /// The slice count.
@@ -234,127 +261,59 @@ impl ClusterState {
     }
 }
 
-// ---------------------------------------------------------------------
-// Masked queries: the single-node half of exact scatter-gather.
-// ---------------------------------------------------------------------
-
-/// Masked mode: the most frequent *owned* object, ties to the smallest
-/// id (the [`ShardedProfile::mode`] rule). `None` when this node owns
-/// nothing.
-pub(crate) fn masked_mode(mask: &Mask, backend: &ShardedProfile) -> Option<(u32, i64)> {
-    masked_extreme(mask, backend, |cand, best| cand > best)
-}
-
-/// Masked least-frequent counterpart of [`masked_mode`].
-pub(crate) fn masked_least(mask: &Mask, backend: &ShardedProfile) -> Option<(u32, i64)> {
-    masked_extreme(mask, backend, |cand, best| cand < best)
-}
-
-fn masked_extreme(
-    mask: &Mask,
-    backend: &ShardedProfile,
-    beats: impl Fn(i64, i64) -> bool,
-) -> Option<(u32, i64)> {
-    let freqs = backend.merged_frequencies();
-    let mut best: Option<(u32, i64)> = None;
-    // Ascending id order, strict comparison: the first owned object at
-    // the winning frequency is the smallest id holding it.
-    for (x, &f) in freqs.iter().enumerate() {
-        if !mask.owned(x as u32) {
-            continue;
-        }
-        match best {
-            Some((_, bf)) if !beats(f, bf) => {}
-            _ => best = Some((x as u32, f)),
-        }
-    }
-    best
-}
-
-/// Masked lower median: position `⌊(n−1)/2⌋` of the sorted frequencies
-/// of the *owned* objects only. Well-defined per node, but per-node
-/// medians do not merge — the router derives the global median from
-/// masked `CAL` instead.
-pub(crate) fn masked_median(mask: &Mask, backend: &ShardedProfile) -> Option<i64> {
-    let freqs = backend.merged_frequencies();
-    let mut owned: Vec<i64> = freqs
-        .iter()
-        .enumerate()
-        .filter(|&(x, _)| mask.owned(x as u32))
-        .map(|(_, &f)| f)
-        .collect();
-    if owned.is_empty() {
-        return None;
-    }
-    let mid = (owned.len() - 1) / 2;
-    let (_, median, _) = owned.select_nth_unstable(mid);
-    Some(*median)
-}
-
-/// Masked top-k **with ties over-fetched at the cut**, mirroring
-/// [`SProfile::top_k_with_ties`]: frequency descending, ids ascending
-/// within a frequency, every class above the cut whole, and the class
-/// straddling the cut truncated to its `k` smallest ids (so at most
-/// `2k − 1` entries). Arbitrarily truncating at `k` could drop a
-/// small-id tied object while another node's larger-id tied object
-/// survived the merge — the same argument as the sharded top-k.
-pub(crate) fn masked_top_k(mask: &Mask, backend: &ShardedProfile, k: u32) -> Vec<(u32, i64)> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let freqs = backend.merged_frequencies();
-    let mut owned: Vec<(u32, i64)> = freqs
-        .iter()
-        .enumerate()
-        .filter(|&(x, _)| mask.owned(x as u32))
-        .map(|(x, &f)| (x as u32, f))
-        .collect();
-    owned.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let k = k as usize;
-    if owned.len() <= k {
-        return owned;
-    }
-    let cut = owned[k - 1].1;
-    let class_start = owned.partition_point(|&(_, f)| f > cut);
-    let class_len = owned[class_start..].partition_point(|&(_, f)| f == cut);
-    owned.truncate(class_start + class_len.min(k));
-    owned
-}
-
-/// Masked `CAL`: owned objects with frequency ≥ `threshold`. Summing
-/// this across nodes gives the exact global count (ownership is a
-/// partition of the universe), which is also how the router bisects
-/// for the global median.
-pub(crate) fn masked_count_at_least(mask: &Mask, backend: &ShardedProfile, threshold: i64) -> u32 {
-    backend
-        .merged_frequencies()
-        .iter()
-        .enumerate()
-        .filter(|&(x, &f)| mask.owned(x as u32) && f >= threshold)
-        .count() as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::BackendKind;
     use sprofile::{SProfile, Tuple};
+    use sprofile_concurrent::ShardedProfile;
 
-    fn state(slices: u32, node: u32, nodes: usize) -> ClusterState {
-        let cfg = ClusterConfig {
+    fn config(slices: u32, node: u32, nodes: usize) -> ClusterConfig {
+        ClusterConfig {
             slices,
             node,
             nodes: (0..nodes)
                 .map(|i| format!("127.0.0.1:{}", 7979 + i))
                 .collect(),
-        };
-        ClusterState::new(&cfg, None).unwrap()
+        }
     }
 
-    fn seeded_backend(m: u32, tuples: &[Tuple]) -> ShardedProfile {
-        let b = BackendKind::Sharded { shards: 2 }.build(m);
+    fn state(slices: u32, node: u32, nodes: usize) -> ClusterState {
+        ClusterState::new(&config(slices, node, nodes), None).unwrap()
+    }
+
+    /// A node's backend as `Server::start` builds it: `requested` shards
+    /// aligned to `slices`.
+    fn seeded_backend(m: u32, slices: u32, requested: usize, tuples: &[Tuple]) -> ShardedProfile {
+        let shards = config(slices, 0, 1).aligned_shards(requested);
+        let b = BackendKind::Sharded { shards }.build(m);
+        let p = b.num_shards();
+        assert!(
+            p.is_multiple_of(slices as usize) || p == m as usize,
+            "p={p} slices={slices} m={m}"
+        );
         b.apply_batch(tuples);
         b
+    }
+
+    #[test]
+    fn aligned_shards_round_up_to_a_slice_multiple() {
+        for (requested, slices, want) in [
+            (8, 12, 12),
+            (8, 16, 16),
+            (1, 7, 7),
+            (0, 7, 7),
+            (12, 12, 12),
+            (13, 12, 24),
+            (8, 1, 8),
+            (usize::MAX, 12, usize::MAX),
+        ] {
+            assert_eq!(
+                config(slices, 0, 1).aligned_shards(requested),
+                want,
+                "{requested} shards, {slices} slices"
+            );
+        }
     }
 
     #[test]
@@ -412,8 +371,19 @@ mod tests {
     /// answers — for every query, on an adversarial tie-heavy stream.
     #[test]
     fn masked_queries_merge_to_the_oracle() {
-        let m = 64u32;
-        let slices = 7u32;
+        // Requested shard counts the slice counts do and do not divide,
+        // plus a universe smaller than the slice count (one shard per
+        // object after the clamp).
+        let cases = [1usize, 2, 8]
+            .into_iter()
+            .flat_map(|requested| [7u32, 12].map(|slices| (64u32, slices, requested)))
+            .chain([(10, 16, 8)]);
+        for (m, slices, requested) in cases {
+            merge_to_the_oracle(m, slices, requested);
+        }
+    }
+
+    fn merge_to_the_oracle(m: u32, slices: u32, requested: usize) {
         let nodes = 3u32;
         let mut tuples = Vec::new();
         // Tie-heavy: frequencies collide across slice boundaries.
@@ -429,17 +399,29 @@ mod tests {
         for &t in &tuples {
             oracle.apply(t);
         }
-        let backends: Vec<ShardedProfile> =
-            (0..nodes).map(|_| seeded_backend(m, &tuples)).collect();
         let states: Vec<ClusterState> = (0..nodes)
             .map(|n| state(slices, n, nodes as usize))
+            .collect();
+        // Each node holds only the writes for the objects it owns, as in
+        // a live cluster.
+        let backends: Vec<ShardedProfile> = states
+            .iter()
+            .map(|cs| {
+                let mask = cs.mask();
+                let owned: Vec<Tuple> = tuples
+                    .iter()
+                    .copied()
+                    .filter(|t| mask.owned(t.object))
+                    .collect();
+                seeded_backend(m, slices, requested, &owned)
+            })
             .collect();
 
         // MODE / LEAST merge with the same comparator chain.
         let mode = states
             .iter()
             .zip(&backends)
-            .filter_map(|(cs, b)| masked_mode(&cs.mask(), b))
+            .filter_map(|(cs, b)| b.mode_in(cs.owned_shards()))
             .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
             .unwrap();
         let oracle_mode = oracle.mode().unwrap();
@@ -448,7 +430,7 @@ mod tests {
         let least = states
             .iter()
             .zip(&backends)
-            .filter_map(|(cs, b)| masked_least(&cs.mask(), b))
+            .filter_map(|(cs, b)| b.least_in(cs.owned_shards()))
             .min_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)))
             .unwrap();
         let oracle_least = oracle.least().unwrap();
@@ -460,7 +442,7 @@ mod tests {
             let mut all: Vec<(u32, i64)> = states
                 .iter()
                 .zip(&backends)
-                .flat_map(|(cs, b)| masked_top_k(&cs.mask(), b, k))
+                .flat_map(|(cs, b)| b.top_k_with_ties_in(cs.owned_shards(), k))
                 .collect();
             all.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             all.truncate(k as usize);
@@ -472,7 +454,7 @@ mod tests {
             let total: u32 = states
                 .iter()
                 .zip(&backends)
-                .map(|(cs, b)| masked_count_at_least(&cs.mask(), b, t))
+                .map(|(cs, b)| b.count_at_least_in(cs.owned_shards(), t))
                 .sum();
             assert_eq!(total, oracle.count_at_least(t), "threshold {t}");
         }
@@ -481,7 +463,7 @@ mod tests {
             states
                 .iter()
                 .zip(&backends)
-                .map(|(cs, b)| masked_count_at_least(&cs.mask(), b, v) as u64)
+                .map(|(cs, b)| b.count_at_least_in(cs.owned_shards(), v) as u64)
                 .sum()
         };
         let (mut lo, mut hi) = (least.1, mode.1);
@@ -503,7 +485,7 @@ mod tests {
         let mut sorted = owned.clone();
         sorted.sort_unstable();
         assert_eq!(
-            masked_median(&states[0].mask(), &backends[0]),
+            backends[0].median_in(states[0].owned_shards()),
             Some(sorted[(sorted.len() - 1) / 2])
         );
     }

@@ -15,7 +15,7 @@
 //!    one span; its clock starts at the first byte the decoder took.
 //! 2. **execute** — [`Conn::execute`] serves the request: each verb's
 //!    semantics (write gates, universe and cluster-ownership checks,
-//!    flush-before-read, masked queries, counters) are written once,
+//!    flush-before-read, owned-shard queries, counters) are written once,
 //!    for both protocols.
 //! 3. **encode** — the reply goes through the connection's codec into
 //!    the write buffer, and `finish_request` seals the span, timing
@@ -571,17 +571,11 @@ impl Conn {
             }
             Request::Mode => {
                 self.begin_query(backend, shared);
-                Response::Mode(match &shared.cluster {
-                    Some(cs) => cluster::masked_mode(&cs.mask(), backend),
-                    None => backend.mode(),
-                })
+                Response::Mode(backend.mode_in(query_shards(shared)))
             }
             Request::Least => {
                 self.begin_query(backend, shared);
-                Response::Least(match &shared.cluster {
-                    Some(cs) => cluster::masked_least(&cs.mask(), backend),
-                    None => backend.least(),
-                })
+                Response::Least(backend.least_in(query_shards(shared)))
             }
             Request::Freq(id) => {
                 in_universe(shared, id)?;
@@ -595,10 +589,7 @@ impl Conn {
             }
             Request::Median => {
                 self.begin_query(backend, shared);
-                Response::Median(match &shared.cluster {
-                    Some(cs) => cluster::masked_median(&cs.mask(), backend),
-                    None => backend.median(),
-                })
+                Response::Median(backend.median_in(query_shards(shared)))
             }
             Request::TopK(k) => {
                 self.begin_query(backend, shared);
@@ -606,16 +597,16 @@ impl Conn {
                 // in the per-shard merge.
                 let k = k.min(shared.m);
                 Response::TopK(match &shared.cluster {
-                    Some(cs) => cluster::masked_top_k(&cs.mask(), backend, k),
+                    // A node's reply over-fetches the tie class at its
+                    // cut; the router sorts the node lists together and
+                    // truncates.
+                    Some(cs) => backend.top_k_with_ties_in(cs.owned_shards(), k),
                     None => backend.top_k(k),
                 })
             }
             Request::Cal(threshold) => {
                 self.begin_query(backend, shared);
-                Response::Cal(match &shared.cluster {
-                    Some(cs) => cluster::masked_count_at_least(&cs.mask(), backend, threshold),
-                    None => backend.count_at_least(threshold),
-                })
+                Response::Cal(backend.count_at_least_in(query_shards(shared), threshold))
             }
             Request::Stats => {
                 self.flush_now(backend, shared);
@@ -905,6 +896,16 @@ fn owns_all(shared: &Shared, objects: impl IntoIterator<Item = u32>) -> Result<(
         }
     }
     Ok(())
+}
+
+/// The shards a query answers over: all of them on a standalone server,
+/// the ones inside the owned slices on a cluster node.
+fn query_shards(shared: &Shared) -> impl Fn(usize) -> bool {
+    let owned = shared
+        .cluster
+        .as_ref()
+        .map(cluster::ClusterState::owned_shards);
+    move |s| owned.as_ref().is_none_or(|owns| owns(s))
 }
 
 /// This node's cluster state; `ERR not a cluster node` on a standalone

@@ -118,6 +118,13 @@ pub(crate) fn render(shared: &Shared) -> String {
     );
     scalar(
         &mut out,
+        "sprofile_shards",
+        "gauge",
+        "Effective shard count of the profile (cluster nodes align it to their slices).",
+        shared.shards as u64,
+    );
+    scalar(
+        &mut out,
         "sprofile_readonly",
         "gauge",
         "1 while the node refuses writes (replica before PROMOTE).",

@@ -153,7 +153,9 @@ pub struct ServerConfig {
     /// Universe size `m`; wire ids must lie in `[0, m)`.
     pub m: u32,
     /// The engine's shape: how many shards the one [`ShardedProfile`]
-    /// every connection shares splits the universe into.
+    /// every connection shares splits the universe into. A cluster node
+    /// rounds the count up to a multiple of its slice count
+    /// ([`Server::shards`] reports the count in effect).
     pub backend: BackendKind,
     /// Event-loop worker threads. Unlike the old accept pool, this does
     /// **not** bound concurrent connections — each worker multiplexes
@@ -266,6 +268,9 @@ pub(crate) struct Meters {
 pub(crate) struct Shared {
     pub(crate) metrics: Metrics,
     pub(crate) m: u32,
+    /// The backend's effective shard count: `--shards` after a cluster
+    /// node's slice alignment and the clamp to `m`.
+    pub(crate) shards: usize,
     /// Connections the event loops serve at once, across all workers
     /// (`metrics.conns` counts the slots in use).
     max_conns: u64,
@@ -395,8 +400,9 @@ impl Shared {
             .map(|c| c.stats_frag())
             .unwrap_or_default();
         format!(
-            "backend=sharded m={} uptime_s={} version={} build_profile={} {}{wal} \
+            "backend=sharded shards={} m={} uptime_s={} version={} build_profile={} {}{wal} \
              {repl}{commit_wait}{cluster}",
+            self.shards,
             self.m,
             self.start.elapsed().as_secs(),
             env!("CARGO_PKG_VERSION"),
@@ -474,15 +480,20 @@ impl Server {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let obs = Obs::new(config.obs.clone())?;
+        // A cluster node aligns its shards to its slices, so each query
+        // can fold the owned shards' own answers.
+        let kind = match (&config.cluster, config.backend) {
+            (Some(c), BackendKind::Sharded { shards }) => BackendKind::Sharded {
+                shards: c.aligned_shards(shards),
+            },
+            (None, kind) => kind,
+        };
         let (durability, backend) = match &config.wal {
             Some(wal_cfg) => {
                 let (d, recovered) = Durability::open(wal_cfg, config.m)?;
-                (
-                    Some(Arc::new(d)),
-                    config.backend.recover(&recovered.profile),
-                )
+                (Some(Arc::new(d)), kind.recover(&recovered.profile))
             }
-            None => (None, config.backend.build(config.m)),
+            None => (None, kind.build(config.m)),
         };
         let backend = Arc::new(backend);
         // Any durable server can feed replicas; a `--replica-of` server
@@ -521,6 +532,7 @@ impl Server {
         let shared = Arc::new(Shared {
             metrics: Metrics::default(),
             m: config.m,
+            shards: backend.num_shards(),
             max_conns: config.max_conns.max(1) as u64,
             // Sync commit acknowledges nothing it has not replicated,
             // so the reply to each write request must sit behind its
@@ -661,6 +673,13 @@ impl Server {
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// The backend's effective shard count: the configured count, rounded
+    /// up to a multiple of the slice count on a cluster node, then
+    /// clamped to the universe size.
+    pub fn shards(&self) -> usize {
+        self.backend.num_shards()
     }
 
     /// The server's metrics (live view).

@@ -15,7 +15,8 @@ use std::collections::BTreeMap;
 
 use sprofile_obs::span::Phase;
 use sprofile_server::{
-    BackendKind, Client, DurabilityConfig, Server, ServerConfig, SyncCommit, SyncPolicy, WireProto,
+    BackendKind, Client, ClusterConfig, DurabilityConfig, Server, ServerConfig, SyncCommit,
+    SyncPolicy, WireProto,
 };
 
 // ---------------------------------------------------------------------
@@ -332,6 +333,7 @@ fn metrics_exposition_parses_and_agrees_with_a_quiesced_stats() {
         ("sprofile_queries_total", "queries"),
         ("sprofile_snapshots_total", "snapshots"),
         ("sprofile_errors_total", "errors"),
+        ("sprofile_shards", "shards"),
     ] {
         assert_eq!(
             e.value(metric) as u64,
@@ -361,6 +363,46 @@ fn metrics_exposition_parses_and_agrees_with_a_quiesced_stats() {
 
     c.quit().unwrap();
     server.shutdown();
+}
+
+#[test]
+fn stats_and_metrics_report_the_effective_shard_count() {
+    // (m, requested shards, cluster slices, effective shards): a cluster
+    // node rounds its shards up to a multiple of the slice count, then
+    // clamps to the universe like a standalone server.
+    for (m, requested, slices, want) in [
+        (128u32, 8usize, Some(12u32), 12u64),
+        (128, 8, None, 8),
+        (10, 8, Some(16), 10),
+    ] {
+        let server = Server::start(
+            ServerConfig {
+                m,
+                backend: BackendKind::Sharded { shards: requested },
+                workers: 1,
+                cluster: slices.map(|slices| ClusterConfig {
+                    slices,
+                    node: 0,
+                    nodes: vec!["127.0.0.1:0".into()],
+                }),
+                ..ServerConfig::default()
+            },
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        assert_eq!(server.shards() as u64, want);
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        let stats = c.stats().unwrap();
+        assert_eq!(stats_field(&stats, "shards"), want, "{stats}");
+        let e = parse_exposition(&c.metrics().unwrap()).expect("exposition parses");
+        assert_eq!(
+            e.value("sprofile_shards") as u64,
+            want,
+            "m={m} slices={slices:?}"
+        );
+        c.quit().unwrap();
+        server.shutdown();
+    }
 }
 
 #[test]
