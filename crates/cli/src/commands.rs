@@ -10,7 +10,6 @@ use sprofile_persist::PersistError;
 use sprofile_server::{
     loadgen::thread_tuples, BackendKind, Client, ClusterConfig, DurabilityConfig, FailoverConfig,
     Level, LoadgenConfig, LogFormat, LogSink, ObsConfig, Server, ServerConfig, SyncCommit,
-    WireProto,
 };
 use sprofile_streamgen::{Event, StreamConfig};
 
@@ -416,8 +415,6 @@ pub struct ServeOpts {
     pub workers: usize,
     /// Concurrent-connection cap before shedding (`--max-conns`).
     pub max_conns: usize,
-    /// Protocol new connections start in (`--proto text|bin`).
-    pub proto: WireProto,
     /// Per-connection write-buffer flush threshold.
     pub flush: usize,
     /// Directory wire `SNAPSHOT` writes are confined to.
@@ -486,7 +483,6 @@ pub fn serve<W: Write>(opts: &ServeOpts, out: &mut W) -> Result<(), CommandError
             backend: opts.backend,
             workers: opts.workers,
             max_conns: opts.max_conns,
-            proto: opts.proto,
             flush_every: opts.flush,
             snapshot_dir: opts.snapshot_dir.clone().into(),
             wal: opts.wal.clone(),
@@ -539,13 +535,12 @@ pub fn serve<W: Write>(opts: &ServeOpts, out: &mut W) -> Result<(), CommandError
     };
     writeln!(
         out,
-        "listening on {} backend=sharded({shards}) m={} workers={} max-conns={} proto={} \
+        "listening on {} backend=sharded({shards}) m={} workers={} max-conns={} \
          flush={}{wal}{role}{sync}{elect}{cluster}{log}{metrics}",
         server.local_addr(),
         opts.m,
         opts.workers,
         opts.max_conns,
-        opts.proto.name(),
         opts.flush
     )?;
     out.flush()?;
@@ -1140,6 +1135,7 @@ pub fn watch<R: BufRead, W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sprofile_server::WireProto;
     use std::io::Cursor;
 
     #[test]
@@ -1579,7 +1575,6 @@ sprofile_uptime_seconds 3\n";
             backend,
             workers: 2,
             max_conns: 64,
-            proto: WireProto::Text,
             flush: 16,
             snapshot_dir: ".".into(),
             wal: None,

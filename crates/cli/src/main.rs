@@ -39,8 +39,7 @@ fn usage() -> &'static str {
      sprofile watch    [FILE] --m <M> [--every <N>] [--top <K>]\n  \
      sprofile hh       [FILE] --m <M> [--counters <K>] [--phi <F>]\n  \
      sprofile serve    --addr <HOST:PORT> --m <M> [--shards <P>] [--workers <N>]\n                    \
-     [--max-conns <N>] [--proto <text|bin>]\n                    \
-     [--flush <B>] [--snapshot-dir <DIR>]\n                    \
+     [--max-conns <N>] [--flush <B>] [--snapshot-dir <DIR>]\n                    \
      [--wal <DIR>] [--sync <always|interval|never>] [--sync-interval-ms <MS>]\n                    \
      [--segment-bytes <B>] [--checkpoint-every <TUPLES>]\n                    \
      [--max-retain-bytes <B>] [--replica-of <HOST:PORT>]\n                    \
@@ -77,8 +76,8 @@ fn usage() -> &'static str {
      With --replica-of it follows that primary read-only (writes get\n\
      'ERR readonly') until `sprofile promote` flips it writable.\n\
      --proto bin makes clients upgrade to the length-prefixed binary\n\
-     protocol (BIN) and pipeline BATCH frames; serve --proto bin starts\n\
-     connections in binary mode.\n\
+     protocol (BIN) and pipeline their requests; every connection starts\n\
+     in text.\n\
      --sync-commit makes a primary hold each OK until quorum/all attached\n\
      replicas acknowledged the write (degrades to async after the\n\
      timeout); --auto-failover lists the peer replicas a replica holds\n\
@@ -393,7 +392,6 @@ fn run(raw: &[String]) -> Result<(), String> {
                 backend: BackendKind::Sharded { shards },
                 workers: args.get_parsed_positive("workers", 4usize)?,
                 max_conns: args.get_parsed_positive("max-conns", 1024usize)?,
-                proto: parse_proto(&args)?,
                 flush: args.get_parsed_positive("flush", default_flush)?,
                 snapshot_dir: args.get("snapshot-dir").unwrap_or(".").to_string(),
                 wal,
@@ -730,6 +728,13 @@ mod tests {
         let raw = argv(&["serve", "--addr", "127.0.0.1", "--backend", "pipeline"]);
         let err = run(&raw).unwrap_err();
         assert!(err.contains("--backend") && err.contains("serve"), "{err}");
+    }
+
+    #[test]
+    fn serve_rejects_the_removed_proto_flag() {
+        let raw = argv(&["serve", "--addr", "127.0.0.1", "--proto", "bin"]);
+        let err = run(&raw).unwrap_err();
+        assert!(err.contains("--proto") && err.contains("serve"), "{err}");
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //!   *group-committed*: one record (and at most one fsync) per applied
 //!   batch, with the fsync cadence picked by [`SyncPolicy`].
 //! * **Checkpoints** ([`Wal::checkpoint`]) — the profile's snapshot
-//!   (the [`SProfile::write_snapshot`] format, which carries its own
-//!   CRC-32 footer) is written atomically (temp file + rename) as
-//!   `ckpt-<lsn>.ck`, covering every record up to `lsn`. Fully covered
-//!   segments and superseded checkpoints are then pruned.
+//!   (the [`SProfile::write_snapshot`](sprofile::SProfile::write_snapshot)
+//!   format, which carries its own CRC-32 footer) is written
+//!   atomically (temp file + rename) as `ckpt-<lsn>.ck`, covering every
+//!   record up to `lsn`. Fully covered segments and superseded
+//!   checkpoints are then pruned.
 //! * **Recovery** ([`recover`]) — loads the newest *valid* checkpoint
 //!   (falling back to the retained previous one if the newest is
 //!   corrupt) and replays the WAL tail on top. A torn or truncated

@@ -207,7 +207,8 @@ impl ReplicationSource {
 
     /// Annotates the record at `lsn` with a request `trace` id, to be
     /// shipped as a `TRC` frame alongside its `REC` on every stream.
-    /// Bounded ([`TRACE_TABLE_CAPACITY`]); a 0 trace is a no-op.
+    /// Bounded (`TRACE_TABLE_CAPACITY`, oldest evicted first); a 0
+    /// trace is a no-op.
     pub fn note_trace(&self, lsn: u64, trace: u64) {
         if trace == 0 {
             return;

@@ -1,16 +1,22 @@
 //! The length-prefixed binary wire protocol (opt-in via `BIN`).
 //!
-//! This module is one of the server's two codecs. Its decoder turns a
-//! request frame into the same [`Request`] the text protocol produces,
-//! and its encoder writes the server's reply as a response frame;
-//! between the two, one `execute` in the connection state machine
-//! serves every verb for both protocols. The client half — the `put_*`
-//! request encoders and [`read_reply`] — is what [`crate::Client`]
-//! speaks.
+//! This module is one of the server's two codecs, and it serves both
+//! ends of the wire. On the server, `decode` turns a request frame
+//! into the same [`Request`] the text protocol produces, and `encode`
+//! writes the server's [`Response`] as a response frame; between the
+//! two, one `execute` in the connection state machine serves every verb
+//! for both protocols. On the client, [`encode_request`] is the inverse
+//! of `decode` (built on the `put_*` request encoders) and
+//! [`read_response`] the inverse of `encode` (built on [`read_reply`]);
+//! [`crate::Client`] speaks binary through those two alone.
 //!
 //! All integers are little-endian. A connection enters binary mode by
 //! sending the text line `BIN` (answered with the text line `OK BIN`);
-//! after that, both directions speak framed binary. Request frames:
+//! after that, both directions speak framed binary. The verbs without
+//! an opcode stay on the text plane: `METRICS`, `LOGTAIL`, `SPANS`,
+//! `MAP`, `MAPSET`, `MIGRATE`, `ADOPT`, `REPLICATE`, `PROMOTE` and
+//! `SNAPSHOT <path>` ([`encode_request`] refuses them). A single `ADD`
+//! or `RM` travels as a one-tuple `BATCH`. Request frames:
 //!
 //! ```text
 //! opcode  name      layout after the opcode byte
@@ -61,7 +67,7 @@ use std::io::{self, BufRead, Read};
 use sprofile::Tuple;
 use sprofile_replicate::frame::TUPLE_BYTES;
 
-use crate::protocol::{Decoded, Request, Response, MAX_BATCH};
+use crate::protocol::{Decoded, Request, Response, MAX_ADOPT_BYTES, MAX_BATCH};
 
 /// `BATCH` request opcode.
 pub const REQ_BATCH: u8 = 0x01;
@@ -167,89 +173,6 @@ pub fn put_trace(buf: &mut Vec<u8>, trace: u64) {
     buf.extend_from_slice(&trace.to_le_bytes());
 }
 
-/// Appends an `OK` response frame.
-pub fn put_ok(buf: &mut Vec<u8>, count: u32) {
-    buf.push(TAG_OK);
-    buf.extend_from_slice(&count.to_le_bytes());
-}
-
-/// Appends an `ERR` response frame (message truncated to 64 KiB).
-pub fn put_err(buf: &mut Vec<u8>, msg: &str) {
-    let bytes = msg.as_bytes();
-    let len = bytes.len().min(u16::MAX as usize);
-    buf.push(TAG_ERR);
-    buf.extend_from_slice(&(len as u16).to_le_bytes());
-    buf.extend_from_slice(&bytes[..len]);
-}
-
-/// Appends a `PAIR` response frame (MODE/LEAST).
-pub fn put_pair(buf: &mut Vec<u8>, pair: Option<(u32, i64)>) {
-    buf.push(TAG_PAIR);
-    match pair {
-        Some((object, freq)) => {
-            buf.push(1);
-            buf.extend_from_slice(&object.to_le_bytes());
-            buf.extend_from_slice(&freq.to_le_bytes());
-        }
-        None => {
-            buf.push(0);
-            buf.extend_from_slice(&[0u8; 12]);
-        }
-    }
-}
-
-/// Appends a `FREQ` response frame.
-pub fn put_freq_reply(buf: &mut Vec<u8>, object: u32, freq: i64) {
-    buf.push(TAG_FREQ);
-    buf.extend_from_slice(&object.to_le_bytes());
-    buf.extend_from_slice(&freq.to_le_bytes());
-}
-
-/// Appends a `MEDIAN` response frame.
-pub fn put_median(buf: &mut Vec<u8>, median: Option<i64>) {
-    buf.push(TAG_MEDIAN);
-    match median {
-        Some(f) => {
-            buf.push(1);
-            buf.extend_from_slice(&f.to_le_bytes());
-        }
-        None => {
-            buf.push(0);
-            buf.extend_from_slice(&[0u8; 8]);
-        }
-    }
-}
-
-/// Appends a `TOPK` response frame.
-pub fn put_topk_reply(buf: &mut Vec<u8>, entries: &[(u32, i64)]) {
-    buf.push(TAG_TOPK);
-    buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for &(object, freq) in entries {
-        buf.extend_from_slice(&object.to_le_bytes());
-        buf.extend_from_slice(&freq.to_le_bytes());
-    }
-}
-
-/// Appends a `STATS` response frame.
-pub fn put_stats(buf: &mut Vec<u8>, payload: &str) {
-    buf.push(TAG_STATS);
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload.as_bytes());
-}
-
-/// Appends a `CAL` response frame.
-pub fn put_cal_reply(buf: &mut Vec<u8>, count: u32) {
-    buf.push(TAG_CAL);
-    buf.extend_from_slice(&count.to_le_bytes());
-}
-
-/// Appends a `SNAPSHOT` response frame carrying raw checkpoint bytes.
-pub fn put_snapshot_reply(buf: &mut Vec<u8>, bytes: &[u8]) {
-    buf.push(TAG_SNAPSHOT);
-    buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    buf.extend_from_slice(bytes);
-}
-
 /// The fixed-size argument after a frame's opcode byte, or `None`
 /// until it has arrived.
 fn arg<const N: usize>(buf: &[u8]) -> Option<[u8; N]> {
@@ -275,7 +198,6 @@ pub(crate) fn decode(buf: &[u8]) -> (usize, Decoded) {
         REQ_CAL => arg(buf).map(|a| (9, Request::Cal(i64::from_le_bytes(a)))),
         REQ_TRACE => arg(buf).map(|a| (9, Request::Trace(u64::from_le_bytes(a)))),
         REQ_BATCH => return decode_batch(buf),
-        b'B' => return decode_upgrade_line(buf),
         other => {
             let msg = format!("unknown binary opcode 0x{other:02x}");
             return (0, Decoded::Malformed { msg, fatal: true });
@@ -316,48 +238,96 @@ fn decode_batch(buf: &[u8]) -> (usize, Decoded) {
     (5 + body.len(), Decoded::Request(req))
 }
 
-/// A server running natively in binary mode still accepts the text
-/// `BIN` upgrade line (first byte `0x42` = `'B'`) so clients can speak
-/// one handshake regardless of the server's `--proto`.
-fn decode_upgrade_line(buf: &[u8]) -> (usize, Decoded) {
-    const LF: &[u8] = b"BIN\n";
-    const CRLF: &[u8] = b"BIN\r\n";
-    if buf.starts_with(LF) {
-        (LF.len(), Decoded::Request(Request::BinUpgrade))
-    } else if buf.starts_with(CRLF) {
-        (CRLF.len(), Decoded::Request(Request::BinUpgrade))
-    } else if CRLF.starts_with(buf) {
-        // Could still become the upgrade line.
-        (0, Decoded::Incomplete)
-    } else {
-        let msg = "unknown binary opcode 0x42 (stray 'B')".to_string();
-        (0, Decoded::Malformed { msg, fatal: true })
-    }
-}
-
-/// Encodes one reply as a binary response frame.
+/// Encodes one reply as a binary response frame, in the layout
+/// [`read_reply`] reads.
 pub(crate) fn encode(out: &mut Vec<u8>, reply: &Response) {
     match reply {
-        Response::Ok | Response::Bye => put_ok(out, 0),
-        Response::Count(n) => put_ok(out, u32::try_from(*n).unwrap_or(u32::MAX)),
+        Response::Ok | Response::Bye => encode(out, &Response::Count(0)),
+        Response::Count(n) => {
+            out.push(TAG_OK);
+            out.extend_from_slice(&u32::try_from(*n).unwrap_or(u32::MAX).to_le_bytes());
+        }
         Response::Upgraded => out.extend_from_slice(b"OK BIN\n"),
-        Response::Err(msg) => put_err(out, msg),
-        Response::Mode(pair) | Response::Least(pair) => put_pair(out, *pair),
-        Response::Freq(obj, f) => put_freq_reply(out, *obj, *f),
-        Response::Median(median) => put_median(out, *median),
-        Response::TopK(entries) => put_topk_reply(out, entries),
-        Response::Cal(count) => put_cal_reply(out, *count),
-        Response::Stats(payload) => put_stats(out, payload),
-        Response::Snapshot(bytes) => put_snapshot_reply(out, bytes),
+        Response::Err(msg) => {
+            // Truncated to the u16 length prefix.
+            let msg = &msg.as_bytes()[..msg.len().min(u16::MAX as usize)];
+            out.push(TAG_ERR);
+            out.extend_from_slice(&(msg.len() as u16).to_le_bytes());
+            out.extend_from_slice(msg);
+        }
+        Response::Mode(pair) | Response::Least(pair) => {
+            // An empty universe sends `present = 0` and a zeroed pair.
+            let (object, freq) = pair.unwrap_or_default();
+            out.extend_from_slice(&[TAG_PAIR, u8::from(pair.is_some())]);
+            out.extend_from_slice(&object.to_le_bytes());
+            out.extend_from_slice(&freq.to_le_bytes());
+        }
+        Response::Freq(object, freq) => {
+            out.push(TAG_FREQ);
+            out.extend_from_slice(&object.to_le_bytes());
+            out.extend_from_slice(&freq.to_le_bytes());
+        }
+        Response::Median(median) => {
+            out.extend_from_slice(&[TAG_MEDIAN, u8::from(median.is_some())]);
+            out.extend_from_slice(&median.unwrap_or_default().to_le_bytes());
+        }
+        Response::TopK(entries) => {
+            out.push(TAG_TOPK);
+            out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+            for (object, freq) in entries {
+                out.extend_from_slice(&object.to_le_bytes());
+                out.extend_from_slice(&freq.to_le_bytes());
+            }
+        }
+        Response::Cal(count) => {
+            out.push(TAG_CAL);
+            out.extend_from_slice(&count.to_le_bytes());
+        }
+        Response::Stats(payload) => put_sized(out, TAG_STATS, payload.as_bytes()),
+        Response::Snapshot(bytes) => put_sized(out, TAG_SNAPSHOT, bytes),
         // Text-only verbs: the binary decoder never produces their
         // requests.
         Response::Metrics(_)
         | Response::Logtail(_)
         | Response::Spans(_)
         | Response::Promoted { .. }
-        | Response::Map(_) => put_err(out, "reply has no binary encoding"),
+        | Response::Map(_) => encode(out, &Response::Err("reply has no binary encoding".into())),
         Response::Stream { .. } => {}
     }
+}
+
+/// A response frame carrying `tag`, a u32 length and `bytes`.
+fn put_sized(out: &mut Vec<u8>, tag: u8, bytes: &[u8]) {
+    out.push(tag);
+    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    out.extend_from_slice(bytes);
+}
+
+/// Encodes one request as a binary frame, the inverse of `decode`: the
+/// bytes decode back to `req`, except that a single `ADD`/`RM` decodes as
+/// its one-tuple `BATCH` frame. `Err` names a request binary cannot
+/// carry and writes nothing: the text-only verbs, `BIN`, a bodiless
+/// `BATCH`/`ADOPT` header, or a `BATCH` frame with an undecoded tuple or
+/// more than [`MAX_BATCH`] tuples.
+pub fn encode_request(out: &mut Vec<u8>, req: &Request) -> Result<(), String> {
+    match req {
+        Request::BatchFrame { tuples, .. } if req.is_sendable_batch() => put_batch(out, tuples),
+        Request::Add(object) => put_batch(out, &[Tuple::add(*object)]),
+        Request::Remove(object) => put_batch(out, &[Tuple::remove(*object)]),
+        Request::Mode => put_simple(out, REQ_MODE),
+        Request::Least => put_simple(out, REQ_LEAST),
+        Request::Median => put_simple(out, REQ_MEDIAN),
+        Request::Stats => put_simple(out, REQ_STATS),
+        Request::Quit => put_simple(out, REQ_QUIT),
+        Request::Shutdown => put_simple(out, REQ_SHUTDOWN),
+        Request::SnapshotFetch => put_simple(out, REQ_SNAPSHOT),
+        Request::Freq(object) => put_freq(out, *object),
+        Request::TopK(k) => put_topk(out, *k),
+        Request::Cal(threshold) => put_cal(out, *threshold),
+        Request::Trace(id) => put_trace(out, *id),
+        _ => return Err(format!("{} has no binary encoding", req.name())),
+    }
+    Ok(())
 }
 
 /// A decoded binary response frame.
@@ -454,7 +424,7 @@ pub fn read_reply<R: BufRead>(r: &mut R) -> io::Result<Reply> {
         TAG_CAL => Ok(Reply::Cal(read_u32(r)?)),
         TAG_SNAPSHOT => {
             let len = read_u32(r)? as usize;
-            if len > crate::protocol::MAX_ADOPT_BYTES {
+            if len > MAX_ADOPT_BYTES {
                 return Err(bad_data(format!(
                     "SNAPSHOT reply length {len} is implausible"
                 )));
@@ -465,6 +435,28 @@ pub fn read_reply<R: BufRead>(r: &mut R) -> io::Result<Reply> {
     }
 }
 
+/// Reads the binary reply to `req` off a blocking reader (client side),
+/// the inverse of `encode`: one frame through [`read_reply`], yielding
+/// the [`Response`] the server encoded. A frame that does not answer
+/// `req` is an [`io::ErrorKind::InvalidData`] error.
+pub fn read_response<R: BufRead>(r: &mut R, req: &Request) -> io::Result<Response> {
+    Ok(match (read_reply(r)?, req) {
+        (Reply::Err(msg), _) => Response::Err(msg),
+        (Reply::Ok(n), Request::BatchFrame { .. }) => Response::Count(u64::from(n)),
+        (Reply::Ok(_), Request::Add(_) | Request::Remove(_) | Request::Trace(_)) => Response::Ok,
+        (Reply::Ok(_), Request::Quit | Request::Shutdown) => Response::Bye,
+        (Reply::Pair(pair), Request::Mode) => Response::Mode(pair),
+        (Reply::Pair(pair), Request::Least) => Response::Least(pair),
+        (Reply::Freq(object, freq), Request::Freq(_)) => Response::Freq(object, freq),
+        (Reply::Median(median), Request::Median) => Response::Median(median),
+        (Reply::TopK(entries), Request::TopK(_)) => Response::TopK(entries),
+        (Reply::Cal(count), Request::Cal(_)) => Response::Cal(count),
+        (Reply::Stats(payload), Request::Stats) => Response::Stats(payload),
+        (Reply::Snapshot(bytes), Request::SnapshotFetch) => Response::Snapshot(bytes),
+        _ => return Err(bad_data(format!("unexpected reply to {}", req.name()))),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,53 +464,6 @@ mod tests {
     fn round_trip(frame: &[u8]) -> Reply {
         let mut cursor = io::Cursor::new(frame.to_vec());
         read_reply(&mut cursor).expect("decode")
-    }
-
-    #[test]
-    fn replies_round_trip() {
-        let mut buf = Vec::new();
-        put_ok(&mut buf, 42);
-        assert_eq!(round_trip(&buf), Reply::Ok(42));
-
-        buf.clear();
-        put_err(&mut buf, "tuple 2: bad");
-        assert_eq!(round_trip(&buf), Reply::Err("tuple 2: bad".into()));
-
-        buf.clear();
-        put_pair(&mut buf, Some((7, -3)));
-        assert_eq!(round_trip(&buf), Reply::Pair(Some((7, -3))));
-
-        buf.clear();
-        put_pair(&mut buf, None);
-        assert_eq!(round_trip(&buf), Reply::Pair(None));
-
-        buf.clear();
-        put_freq_reply(&mut buf, 9, 12);
-        assert_eq!(round_trip(&buf), Reply::Freq(9, 12));
-
-        buf.clear();
-        put_median(&mut buf, Some(5));
-        assert_eq!(round_trip(&buf), Reply::Median(Some(5)));
-
-        buf.clear();
-        put_median(&mut buf, None);
-        assert_eq!(round_trip(&buf), Reply::Median(None));
-
-        buf.clear();
-        put_topk_reply(&mut buf, &[(1, 10), (2, 5)]);
-        assert_eq!(round_trip(&buf), Reply::TopK(vec![(1, 10), (2, 5)]));
-
-        buf.clear();
-        put_stats(&mut buf, "backend=x m=4");
-        assert_eq!(round_trip(&buf), Reply::Stats("backend=x m=4".into()));
-
-        buf.clear();
-        put_cal_reply(&mut buf, 3);
-        assert_eq!(round_trip(&buf), Reply::Cal(3));
-
-        buf.clear();
-        put_snapshot_reply(&mut buf, &[0xAA, 0xBB, 0xCC]);
-        assert_eq!(round_trip(&buf), Reply::Snapshot(vec![0xAA, 0xBB, 0xCC]));
     }
 
     #[test]
@@ -568,7 +513,7 @@ mod tests {
     #[test]
     fn truncated_replies_are_io_errors() {
         let mut buf = Vec::new();
-        put_topk_reply(&mut buf, &[(1, 10), (2, 5)]);
+        encode(&mut buf, &Response::TopK(vec![(1, 10), (2, 5)]));
         for cut in 1..buf.len() {
             let mut cursor = io::Cursor::new(buf[..cut].to_vec());
             assert!(read_reply(&mut cursor).is_err(), "cut at {cut}");
@@ -594,11 +539,6 @@ mod tests {
             decode(&wire[batch_len..]),
             (9, Decoded::Request(Request::Cal(-3)))
         );
-        assert_eq!(
-            decode(b"BIN\r\n"),
-            (5, Decoded::Request(Request::BinUpgrade))
-        );
-        assert_eq!(decode(b"BIN\r"), (0, Decoded::Incomplete));
         for hostile in [&[0x7Fu8][..], b"BX", &[REQ_BATCH, 0xFF, 0xFF, 0xFF, 0xFF]] {
             let (_, got) = decode(hostile);
             assert!(
@@ -618,9 +558,11 @@ mod tests {
                 Reply::Err("moved 3".into()),
             ),
             (Response::Mode(None), Reply::Pair(None)),
+            (Response::Mode(Some((7, -3))), Reply::Pair(Some((7, -3)))),
             (Response::Least(Some((2, -4))), Reply::Pair(Some((2, -4)))),
             (Response::Freq(1, 9), Reply::Freq(1, 9)),
             (Response::Median(Some(3)), Reply::Median(Some(3))),
+            (Response::Median(None), Reply::Median(None)),
             (Response::TopK(vec![(5, 6)]), Reply::TopK(vec![(5, 6)])),
             (Response::Cal(2), Reply::Cal(2)),
             (Response::Stats("m=4".into()), Reply::Stats("m=4".into())),

@@ -1,25 +1,41 @@
 //! A small synchronous client for both wire protocols — the building
-//! block of the load generator, the CLI front end, and the test suites.
+//! block of the load generator, the CLI front end, the cluster router
+//! and the test suites.
+//!
+//! The client knows no wire format of its own. [`Client::send`]
+//! encodes a [`Request`] through the codec of the protocol the
+//! connection speaks ([`protocol::encode_request`] or
+//! [`bin_proto::encode_request`]) into an output buffer, and
+//! [`Client::recv`] reads the reply to a request back into the
+//! [`Response`] the server encoded ([`protocol::read_response`] or
+//! [`bin_proto::read_response`]). These are the same two codecs the
+//! server runs, so a request and its reply mean the same thing at both
+//! ends of the wire.
+//!
+//! Replies come back in request order, so any request can be
+//! pipelined: `send` a window of requests, [`Client::flush_out`], then
+//! `recv` each in the order sent. The typed methods ([`Client::mode`],
+//! [`Client::batch`], …) are one round trip each; [`Client::batch_send`]
+//! / [`Client::batch_recv`] are the pipelined halves of
+//! [`Client::batch`].
 //!
 //! A client starts in the text protocol; [`Client::upgrade_bin`] (or
 //! [`Client::connect_with`] with [`WireProto::Bin`]) switches the
-//! connection to the length-prefixed binary protocol of [`bin_proto`].
-//! Every typed method works in either mode. Binary mode additionally
-//! supports windowed pipelining via [`Client::batch_send`] /
-//! [`Client::batch_recv`], which is how the load generator keeps many
-//! `BATCH` frames in flight per connection.
-//!
-//! [`bin_proto`]: crate::bin_proto
+//! connection to the length-prefixed binary protocol. A request the
+//! current protocol cannot carry (a text-only verb over binary, the
+//! inline snapshot fetch over text) fails with
+//! [`ClientError::Protocol`] before anything is sent.
 
 use std::fmt;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 use sprofile::Tuple;
 use sprofile_persist::PartitionMap;
 
-use crate::bin_proto::{self, Reply};
-use crate::protocol::WireProto;
+use crate::bin_proto;
+use crate::protocol::{self, Request, Response, WireProto};
 
 /// Client-side failures.
 #[derive(Debug)]
@@ -28,7 +44,8 @@ pub enum ClientError {
     Io(io::Error),
     /// The server answered `ERR <message>`.
     Server(String),
-    /// The server answered something the client cannot interpret.
+    /// The server answered something the client cannot interpret, or
+    /// the request cannot be carried by the connection's protocol.
     Protocol(String),
 }
 
@@ -63,32 +80,61 @@ pub type ClientResult<T> = Result<T, ClientError>;
 /// One connection to a running server.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    stream: TcpStream,
+    /// Encoded requests not yet written to the socket.
+    out: Vec<u8>,
     proto: WireProto,
 }
 
-fn parse_field<T: std::str::FromStr>(field: &str, reply: &str) -> ClientResult<T> {
-    field
-        .parse()
-        .map_err(|_| ClientError::Protocol(format!("unparseable field '{field}' in '{reply}'")))
+/// One round trip of `$req` on `$client`, unpacking the one reply shape
+/// that answers it. The codecs already refuse a reply of any other
+/// shape, so the fallback arm only guards the pairing.
+macro_rules! round_trip {
+    ($client:expr, $req:expr, $shape:pat => $value:expr) => {{
+        let req = $req;
+        match $client.call(&req)? {
+            $shape => Ok($value),
+            _ => Err(unexpected(&req)),
+        }
+    }};
+}
+
+fn unexpected(req: &Request) -> ClientError {
+    ClientError::Protocol(format!("unexpected reply to {}", req.name()))
 }
 
 impl Client {
     /// Connects to `addr` in text mode.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> ClientResult<Client> {
-        let stream = TcpStream::connect(addr)?;
+        Client::over(TcpStream::connect(addr)?)
+    }
+
+    /// Connects to `addr` in text mode with `timeout` bounding the
+    /// connect and every later read and write, so a dead or wedged peer
+    /// costs at most `timeout` per step.
+    pub fn connect_timeout<A: ToSocketAddrs>(addr: A, timeout: Duration) -> ClientResult<Client> {
+        let sock = addr.to_socket_addrs()?.next().ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidInput, "address resolves to nothing")
+        })?;
+        let stream = TcpStream::connect_timeout(&sock, timeout)?;
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
+        Client::over(stream)
+    }
+
+    fn over(stream: TcpStream) -> ClientResult<Client> {
         stream.set_nodelay(true).ok();
         Ok(Client {
             reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
+            stream,
+            out: Vec::new(),
             proto: WireProto::Text,
         })
     }
 
     /// Connects and, for [`WireProto::Bin`], performs the `BIN` upgrade
-    /// handshake. Works against servers started in either protocol —
-    /// a binary-mode server recognises the `BIN\n` bytes as an upgrade
-    /// pseudo-frame, so the handshake is uniform.
+    /// handshake. Every connection starts in text, so the handshake is
+    /// the same against every server.
     pub fn connect_with<A: ToSocketAddrs>(addr: A, proto: WireProto) -> ClientResult<Client> {
         let mut client = Client::connect(addr)?;
         if proto == WireProto::Bin {
@@ -106,124 +152,89 @@ impl Client {
     /// verb and expects the text `OK BIN` acknowledgement; every request
     /// after that is a binary frame. There is no downgrade.
     pub fn upgrade_bin(&mut self) -> ClientResult<()> {
-        let reply = self.round_trip("BIN")?;
-        if reply != "OK BIN" {
-            return Err(ClientError::Protocol(format!(
-                "expected OK BIN, got '{reply}'"
-            )));
-        }
+        round_trip!(self, Request::BinUpgrade, Response::Upgraded => ())?;
         self.proto = WireProto::Bin;
         Ok(())
     }
 
-    /// Sends one binary request and reads one reply, turning
-    /// [`Reply::Err`] into [`ClientError::Server`].
-    fn bin_round_trip(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> ClientResult<Reply> {
-        let mut frame = Vec::new();
-        encode(&mut frame);
-        self.writer.write_all(&frame)?;
-        self.writer.flush()?;
-        match bin_proto::read_reply(&mut self.reader)? {
-            Reply::Err(msg) => Err(ClientError::Server(msg)),
-            reply => Ok(reply),
+    /// Encodes `req` in the connection's protocol into the output
+    /// buffer, **without flushing or reading the reply**. Pair each
+    /// `send` with a later [`Client::recv`] of the same request, in
+    /// order, after a [`Client::flush_out`]. A request the protocol
+    /// cannot carry is a [`ClientError::Protocol`] and sends nothing.
+    pub fn send(&mut self, req: &Request) -> ClientResult<()> {
+        match self.proto {
+            WireProto::Text => protocol::encode_request(&mut self.out, req),
+            WireProto::Bin => bin_proto::encode_request(&mut self.out, req),
+        }
+        .map_err(ClientError::Protocol)
+    }
+
+    /// Reads the reply to `req`, the oldest request sent and not yet
+    /// received. An `ERR` reply is [`ClientError::Server`]; a reply that
+    /// does not answer `req` is [`ClientError::Protocol`].
+    pub fn recv(&mut self, req: &Request) -> ClientResult<Response> {
+        let reply = match self.proto {
+            WireProto::Text => protocol::read_response(&mut self.reader, req),
+            WireProto::Bin => bin_proto::read_response(&mut self.reader, req),
+        };
+        match reply {
+            Ok(Response::Err(msg)) => Err(ClientError::Server(msg)),
+            Ok(reply) => Ok(reply),
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                Err(ClientError::Protocol(e.to_string()))
+            }
+            Err(e) => Err(ClientError::Io(e)),
         }
     }
 
-    fn bin_unexpected<T>(&self, what: &str, reply: &Reply) -> ClientResult<T> {
-        Err(ClientError::Protocol(format!(
-            "expected {what} reply, got {reply:?}"
-        )))
+    /// Writes every buffered request to the socket. The buffer is
+    /// emptied either way: after a failed write the connection's framing
+    /// is lost, and resending bytes that may already be out would not
+    /// restore it.
+    pub fn flush_out(&mut self) -> ClientResult<()> {
+        let written = self.stream.write_all(&self.out);
+        self.out.clear();
+        Ok(written?)
+    }
+
+    /// One request, one reply.
+    fn call(&mut self, req: &Request) -> ClientResult<Response> {
+        self.send(req)?;
+        self.flush_out()?;
+        self.recv(req)
     }
 
     /// Sends one raw request line (no trailing newline) without reading
     /// a reply. Exposed for protocol tests; pair with
     /// [`Client::recv_line`].
     pub fn send_line(&mut self, line: &str) -> ClientResult<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        Ok(())
+        self.out.extend_from_slice(line.as_bytes());
+        self.out.push(b'\n');
+        self.flush_out()
     }
 
     /// Reads one raw reply line (newline stripped). Errors on EOF.
     pub fn recv_line(&mut self) -> ClientResult<String> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(ClientError::Protocol("connection closed".into()));
-        }
-        Ok(line.trim_end_matches(['\r', '\n']).to_string())
-    }
-
-    /// Reads a reply, turning `ERR …` into [`ClientError::Server`].
-    fn recv_ok(&mut self) -> ClientResult<String> {
-        let reply = self.recv_line()?;
-        match reply.strip_prefix("ERR ") {
-            Some(msg) => Err(ClientError::Server(msg.to_string())),
-            None => Ok(reply),
-        }
-    }
-
-    /// Round-trip: send `line`, then read one checked reply.
-    fn round_trip(&mut self, line: &str) -> ClientResult<String> {
-        self.send_line(line)?;
-        self.recv_ok()
-    }
-
-    fn expect_prefix<'r>(&self, reply: &'r str, prefix: &str) -> ClientResult<&'r str> {
-        reply
-            .strip_prefix(prefix)
-            .map(str::trim)
-            .ok_or_else(|| ClientError::Protocol(format!("expected '{prefix}…', got '{reply}'")))
-    }
-
-    fn opt_pair(&self, reply: &str, prefix: &str) -> ClientResult<Option<(u32, i64)>> {
-        if reply == "NONE" {
-            return Ok(None);
-        }
-        let rest = self.expect_prefix(reply, prefix)?;
-        let (obj, f) = rest
-            .split_once(' ')
-            .ok_or_else(|| ClientError::Protocol(format!("malformed pair in '{reply}'")))?;
-        Ok(Some((parse_field(obj, reply)?, parse_field(f, reply)?)))
+        Ok(protocol::read_line(&mut self.reader)?)
     }
 
     /// `ADD id` (buffered server-side until the next flush or query).
     /// In binary mode this is a one-tuple `BATCH` frame — the binary
     /// protocol has no single-tuple opcode.
     pub fn add(&mut self, id: u32) -> ClientResult<()> {
-        if self.proto == WireProto::Bin {
-            self.batch(&[Tuple::add(id)])?;
-            return Ok(());
-        }
-        let reply = self.round_trip(&format!("ADD {id}"))?;
-        if reply == "OK" {
-            Ok(())
-        } else {
-            Err(ClientError::Protocol(format!("expected OK, got '{reply}'")))
-        }
+        round_trip!(self, Request::Add(id), Response::Ok => ())
     }
 
     /// `RM id`.
     pub fn remove(&mut self, id: u32) -> ClientResult<()> {
-        if self.proto == WireProto::Bin {
-            self.batch(&[Tuple::remove(id)])?;
-            return Ok(());
-        }
-        let reply = self.round_trip(&format!("RM {id}"))?;
-        if reply == "OK" {
-            Ok(())
-        } else {
-            Err(ClientError::Protocol(format!("expected OK, got '{reply}'")))
-        }
+        round_trip!(self, Request::Remove(id), Response::Ok => ())
     }
 
     /// `BATCH`: one frame of tuples in one write; returns the
     /// acknowledged tuple count.
     pub fn batch(&mut self, tuples: &[Tuple]) -> ClientResult<u64> {
-        self.batch_send(tuples)?;
-        self.writer.flush()?;
-        self.batch_recv()
+        round_trip!(self, Request::batch(tuples.to_vec()), Response::Count(n) => n)
     }
 
     /// Writes one `BATCH` frame into the connection's output buffer
@@ -232,151 +243,54 @@ impl Client {
     /// flight and pair each with a later [`Client::batch_recv`]; call
     /// [`Client::flush_out`] before draining replies.
     pub fn batch_send(&mut self, tuples: &[Tuple]) -> ClientResult<()> {
-        match self.proto {
-            WireProto::Text => {
-                let mut frame = format!("BATCH {}\n", tuples.len());
-                for t in tuples {
-                    frame.push(if t.is_add { 'a' } else { 'r' });
-                    frame.push(' ');
-                    frame.push_str(&t.object.to_string());
-                    frame.push('\n');
-                }
-                self.writer.write_all(frame.as_bytes())?;
-            }
-            WireProto::Bin => {
-                let mut frame = Vec::with_capacity(5 + tuples.len() * 5);
-                bin_proto::put_batch(&mut frame, tuples);
-                self.writer.write_all(&frame)?;
-            }
-        }
-        Ok(())
+        self.send(&Request::batch(tuples.to_vec()))
     }
 
     /// Reads one `BATCH` acknowledgement (the reply to one earlier
     /// [`Client::batch_send`]): the acknowledged tuple count.
     pub fn batch_recv(&mut self) -> ClientResult<u64> {
-        match self.proto {
-            WireProto::Text => {
-                let reply = self.recv_ok()?;
-                let n = self.expect_prefix(&reply, "OK")?;
-                parse_field(n, &reply)
-            }
-            WireProto::Bin => match bin_proto::read_reply(&mut self.reader)? {
-                Reply::Ok(n) => Ok(u64::from(n)),
-                Reply::Err(msg) => Err(ClientError::Server(msg)),
-                other => self.bin_unexpected("OK", &other),
-            },
+        let req = Request::batch(Vec::new());
+        match self.recv(&req)? {
+            Response::Count(n) => Ok(n),
+            _ => Err(unexpected(&req)),
         }
-    }
-
-    /// Flushes buffered [`Client::batch_send`] frames to the socket.
-    pub fn flush_out(&mut self) -> ClientResult<()> {
-        self.writer.flush()?;
-        Ok(())
     }
 
     /// `MODE` → `(object, frequency)` or `None` on an empty universe.
     pub fn mode(&mut self) -> ClientResult<Option<(u32, i64)>> {
-        if self.proto == WireProto::Bin {
-            return match self.bin_round_trip(|b| bin_proto::put_simple(b, bin_proto::REQ_MODE))? {
-                Reply::Pair(p) => Ok(p),
-                other => self.bin_unexpected("PAIR", &other),
-            };
-        }
-        let reply = self.round_trip("MODE")?;
-        self.opt_pair(&reply, "MODE ")
+        round_trip!(self, Request::Mode, Response::Mode(pair) => pair)
     }
 
     /// `LEAST` → `(object, frequency)` or `None`.
     pub fn least(&mut self) -> ClientResult<Option<(u32, i64)>> {
-        if self.proto == WireProto::Bin {
-            return match self.bin_round_trip(|b| bin_proto::put_simple(b, bin_proto::REQ_LEAST))? {
-                Reply::Pair(p) => Ok(p),
-                other => self.bin_unexpected("PAIR", &other),
-            };
-        }
-        let reply = self.round_trip("LEAST")?;
-        self.opt_pair(&reply, "LEAST ")
+        round_trip!(self, Request::Least, Response::Least(pair) => pair)
     }
 
     /// `FREQ id` → the object's current frequency.
     pub fn freq(&mut self, id: u32) -> ClientResult<i64> {
-        if self.proto == WireProto::Bin {
-            return match self.bin_round_trip(|b| bin_proto::put_freq(b, id))? {
-                Reply::Freq(_, f) => Ok(f),
-                other => self.bin_unexpected("FREQ", &other),
-            };
-        }
-        let reply = self.round_trip(&format!("FREQ {id}"))?;
-        let rest = self.expect_prefix(&reply, "FREQ ")?;
-        let (_, f) = rest
-            .split_once(' ')
-            .ok_or_else(|| ClientError::Protocol(format!("malformed FREQ reply '{reply}'")))?;
-        parse_field(f, &reply)
+        round_trip!(self, Request::Freq(id), Response::Freq(_, f) => f)
     }
 
     /// `MEDIAN` → the lower median frequency, `None` on an empty
     /// universe.
     pub fn median(&mut self) -> ClientResult<Option<i64>> {
-        if self.proto == WireProto::Bin {
-            return match self.bin_round_trip(|b| bin_proto::put_simple(b, bin_proto::REQ_MEDIAN))? {
-                Reply::Median(m) => Ok(m),
-                other => self.bin_unexpected("MEDIAN", &other),
-            };
-        }
-        let reply = self.round_trip("MEDIAN")?;
-        if reply == "NONE" {
-            return Ok(None);
-        }
-        let rest = self.expect_prefix(&reply, "MEDIAN ")?;
-        Ok(Some(parse_field(rest, &reply)?))
+        round_trip!(self, Request::Median, Response::Median(median) => median)
     }
 
     /// `TOPK k` → up to `k` `(object, frequency)` pairs, most frequent
     /// first.
     pub fn top_k(&mut self, k: u32) -> ClientResult<Vec<(u32, i64)>> {
-        if self.proto == WireProto::Bin {
-            return match self.bin_round_trip(|b| bin_proto::put_topk(b, k))? {
-                Reply::TopK(entries) => Ok(entries),
-                other => self.bin_unexpected("TOPK", &other),
-            };
-        }
-        self.send_line(&format!("TOPK {k}"))?;
-        let header = self.recv_ok()?;
-        let n: usize = parse_field(self.expect_prefix(&header, "TOPK")?, &header)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let line = self.recv_line()?;
-            let (obj, f) = line
-                .split_once(' ')
-                .ok_or_else(|| ClientError::Protocol(format!("malformed TOPK entry '{line}'")))?;
-            out.push((parse_field(obj, &line)?, parse_field(f, &line)?));
-        }
-        Ok(out)
+        round_trip!(self, Request::TopK(k), Response::TopK(entries) => entries)
     }
 
     /// `CAL f` → count of objects with frequency ≥ `threshold`.
     pub fn count_at_least(&mut self, threshold: i64) -> ClientResult<u32> {
-        if self.proto == WireProto::Bin {
-            return match self.bin_round_trip(|b| bin_proto::put_cal(b, threshold))? {
-                Reply::Cal(n) => Ok(n),
-                other => self.bin_unexpected("CAL", &other),
-            };
-        }
-        let reply = self.round_trip(&format!("CAL {threshold}"))?;
-        parse_field(self.expect_prefix(&reply, "CAL")?, &reply)
+        round_trip!(self, Request::Cal(threshold), Response::Cal(n) => n)
     }
 
     /// `STATS` → the raw `key=value` payload (after `STATS `).
     pub fn stats(&mut self) -> ClientResult<String> {
-        if self.proto == WireProto::Bin {
-            return match self.bin_round_trip(|b| bin_proto::put_simple(b, bin_proto::REQ_STATS))? {
-                Reply::Stats(payload) => Ok(payload),
-                other => self.bin_unexpected("STATS", &other),
-            };
-        }
-        let reply = self.round_trip("STATS")?;
-        Ok(self.expect_prefix(&reply, "STATS")?.to_string())
+        round_trip!(self, Request::Stats, Response::Stats(payload) => payload)
     }
 
     /// One `key=value` field out of a [`Client::stats`] payload.
@@ -387,193 +301,89 @@ impl Client {
             .and_then(|v| v.parse().ok())
     }
 
-    /// Reads a `<PREFIX> <nbytes>\n` header then exactly `nbytes` of
-    /// raw payload — the length-prefixed framing `METRICS` and
-    /// `LOGTAIL` replies use so arbitrary text can ride the line
-    /// protocol without desyncing it.
-    fn recv_sized_payload(&mut self, prefix: &str) -> ClientResult<String> {
-        let header = self.recv_ok()?;
-        let n: usize = parse_field(self.expect_prefix(&header, prefix)?, &header)?;
-        if n > 1 << 24 {
-            return Err(ClientError::Protocol(format!(
-                "{prefix} payload length {n} is implausible"
-            )));
-        }
-        let mut payload = vec![0u8; n];
-        io::Read::read_exact(&mut self.reader, &mut payload)?;
-        String::from_utf8(payload)
-            .map_err(|_| ClientError::Protocol(format!("{prefix} payload is not utf-8")))
-    }
-
     /// `METRICS` → the Prometheus text-exposition payload. Text-protocol
     /// only.
     pub fn metrics(&mut self) -> ClientResult<String> {
-        if self.proto == WireProto::Bin {
-            return Err(ClientError::Protocol("METRICS is text-only".into()));
-        }
-        self.send_line("METRICS")?;
-        self.recv_sized_payload("METRICS")
+        round_trip!(self, Request::Metrics, Response::Metrics(payload) => payload)
     }
 
     /// `LOGTAIL n` → the last `n` buffered log events, rendered in the
     /// server's configured format (`n = 0`: the whole ring buffer).
     /// Text-protocol only.
     pub fn logtail(&mut self, n: usize) -> ClientResult<String> {
-        if self.proto == WireProto::Bin {
-            return Err(ClientError::Protocol("LOGTAIL is text-only".into()));
-        }
-        self.send_line(&format!("LOGTAIL {n}"))?;
-        self.recv_sized_payload("LOGTAIL")
+        round_trip!(self, Request::Logtail(n), Response::Logtail(payload) => payload)
     }
 
     /// `SPANS n` → the `n` slowest recent request spans with their
     /// per-phase timings (`n = 0`: the whole flight recorder).
     /// Text-protocol only.
     pub fn spans(&mut self, n: usize) -> ClientResult<String> {
-        if self.proto == WireProto::Bin {
-            return Err(ClientError::Protocol("SPANS is text-only".into()));
-        }
-        self.send_line(&format!("SPANS {n}"))?;
-        self.recv_sized_payload("SPANS")
+        round_trip!(self, Request::Spans(n), Response::Spans(payload) => payload)
     }
 
     /// `TRACE id` → tags every subsequent request on this connection
     /// with `id` in the server's log ring (0 clears). Works in both
     /// protocols.
     pub fn trace(&mut self, id: u64) -> ClientResult<()> {
-        if self.proto == WireProto::Bin {
-            return match self.bin_round_trip(|b| bin_proto::put_trace(b, id))? {
-                Reply::Ok(_) => Ok(()),
-                other => self.bin_unexpected("OK", &other),
-            };
-        }
-        let reply = self.round_trip(&format!("TRACE {id}"))?;
-        if reply == "OK" {
-            Ok(())
-        } else {
-            Err(ClientError::Protocol(format!("expected OK, got '{reply}'")))
-        }
+        round_trip!(self, Request::Trace(id), Response::Ok => ())
     }
 
     /// `SNAPSHOT path` → bytes written server-side. Text-protocol only
     /// (admin commands stay on the text plane).
     pub fn snapshot(&mut self, path: &str) -> ClientResult<u64> {
-        if self.proto == WireProto::Bin {
-            return Err(ClientError::Protocol("SNAPSHOT is text-only".into()));
-        }
-        let reply = self.round_trip(&format!("SNAPSHOT {path}"))?;
-        parse_field(self.expect_prefix(&reply, "OK")?, &reply)
+        round_trip!(self, Request::Snapshot(path.to_string()), Response::Count(n) => n)
     }
 
     /// Binary `SNAPSHOT` → the server's checkpoint bytes, fetched
     /// inline over the wire. Binary-protocol only.
     pub fn snapshot_fetch(&mut self) -> ClientResult<Vec<u8>> {
-        if self.proto != WireProto::Bin {
-            return Err(ClientError::Protocol(
-                "inline SNAPSHOT fetch is binary-only".into(),
-            ));
-        }
-        match self.bin_round_trip(|b| bin_proto::put_simple(b, bin_proto::REQ_SNAPSHOT))? {
-            Reply::Snapshot(bytes) => Ok(bytes),
-            other => self.bin_unexpected("SNAPSHOT", &other),
-        }
+        round_trip!(self, Request::SnapshotFetch, Response::Snapshot(bytes) => bytes)
     }
 
     /// `MAP` → the node's current partition map. Text-protocol only.
     pub fn map(&mut self) -> ClientResult<PartitionMap> {
-        if self.proto == WireProto::Bin {
-            return Err(ClientError::Protocol("MAP is text-only".into()));
-        }
-        let reply = self.round_trip("MAP")?;
-        let rest = self.expect_prefix(&reply, "MAP ")?;
-        PartitionMap::from_wire(rest).map_err(ClientError::Protocol)
+        let wire = round_trip!(self, Request::Map, Response::Map(wire) => wire)?;
+        PartitionMap::from_wire(&wire).map_err(ClientError::Protocol)
     }
 
     /// `MAPSET` → pushes a partition map to the node; returns the
     /// version it runs afterwards. Text-protocol only.
     pub fn mapset(&mut self, map: &PartitionMap) -> ClientResult<u64> {
-        if self.proto == WireProto::Bin {
-            return Err(ClientError::Protocol("MAPSET is text-only".into()));
-        }
-        let reply = self.round_trip(&format!("MAPSET {}", map.to_wire()))?;
-        parse_field(self.expect_prefix(&reply, "OK")?, &reply)
+        round_trip!(self, Request::MapSet(map.clone()), Response::Count(version) => version)
     }
 
     /// `MIGRATE slice target` → hands a slice to another node; returns
     /// the bumped map version. Text-protocol only.
     pub fn migrate(&mut self, slice: u32, target: u32) -> ClientResult<u64> {
-        if self.proto == WireProto::Bin {
-            return Err(ClientError::Protocol("MIGRATE is text-only".into()));
-        }
-        let reply = self.round_trip(&format!("MIGRATE {slice} {target}"))?;
-        parse_field(self.expect_prefix(&reply, "OK")?, &reply)
+        round_trip!(self, Request::Migrate { slice, target }, Response::Count(version) => version)
     }
 
     /// `ADOPT` → ships `bytes` (a key-filtered checkpoint) for `slice`
     /// to the node; returns the tuple count applied to converge. Text
     /// header, raw binary body. Text-protocol only.
     pub fn adopt(&mut self, slice: u32, version: u64, bytes: &[u8]) -> ClientResult<u64> {
-        if self.proto == WireProto::Bin {
-            return Err(ClientError::Protocol("ADOPT is text-only".into()));
-        }
-        self.writer
-            .write_all(format!("ADOPT {slice} {version} {}\n", bytes.len()).as_bytes())?;
-        self.writer.write_all(bytes)?;
-        self.writer.flush()?;
-        let reply = self.recv_ok()?;
-        parse_field(self.expect_prefix(&reply, "OK")?, &reply)
+        let req = Request::AdoptFrame {
+            slice,
+            version,
+            body: bytes.to_vec(),
+        };
+        round_trip!(self, req, Response::Count(applied) => applied)
     }
 
     /// `PROMOTE` → the `(lsn, epoch)` the (former) replica was promoted
     /// at — its applied LSN and the freshly bumped generation. Errors
     /// with `ERR not a replica` on other servers. Text-protocol only.
     pub fn promote(&mut self) -> ClientResult<(u64, u64)> {
-        if self.proto == WireProto::Bin {
-            return Err(ClientError::Protocol("PROMOTE is text-only".into()));
-        }
-        let reply = self.round_trip("PROMOTE")?;
-        let rest = self.expect_prefix(&reply, "OK")?;
-        let (lsn, epoch) = rest
-            .split_once(' ')
-            .ok_or_else(|| ClientError::Protocol(format!("malformed PROMOTE reply '{reply}'")))?;
-        Ok((parse_field(lsn, &reply)?, parse_field(epoch, &reply)?))
+        round_trip!(self, Request::Promote, Response::Promoted { lsn, epoch } => (lsn, epoch))
     }
 
     /// `QUIT`: closes this connection politely.
     pub fn quit(mut self) -> ClientResult<()> {
-        if self.proto == WireProto::Bin {
-            return match self.bin_round_trip(|b| bin_proto::put_simple(b, bin_proto::REQ_QUIT))? {
-                Reply::Ok(_) => Ok(()),
-                other => self.bin_unexpected("OK", &other),
-            };
-        }
-        let reply = self.round_trip("QUIT")?;
-        if reply == "BYE" {
-            Ok(())
-        } else {
-            Err(ClientError::Protocol(format!(
-                "expected BYE, got '{reply}'"
-            )))
-        }
+        round_trip!(self, Request::Quit, Response::Bye => ())
     }
 
     /// `SHUTDOWN`: asks the whole server to drain and stop.
     pub fn shutdown_server(mut self) -> ClientResult<()> {
-        if self.proto == WireProto::Bin {
-            return match self
-                .bin_round_trip(|b| bin_proto::put_simple(b, bin_proto::REQ_SHUTDOWN))?
-            {
-                Reply::Ok(_) => Ok(()),
-                other => self.bin_unexpected("OK", &other),
-            };
-        }
-        let reply = self.round_trip("SHUTDOWN")?;
-        if reply == "BYE" {
-            Ok(())
-        } else {
-            Err(ClientError::Protocol(format!(
-                "expected BYE, got '{reply}'"
-            )))
-        }
+        round_trip!(self, Request::Shutdown, Response::Bye => ())
     }
 }

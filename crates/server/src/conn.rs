@@ -161,8 +161,9 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    /// Wraps an accepted (already non-blocking) stream.
-    pub(crate) fn new(stream: TcpStream, proto: WireProto, flush_every: usize, id: u64) -> Conn {
+    /// Wraps an accepted (already non-blocking) stream; every
+    /// connection starts in the text protocol.
+    pub(crate) fn new(stream: TcpStream, flush_every: usize, id: u64) -> Conn {
         Conn {
             stream,
             rbuf: Vec::new(),
@@ -170,7 +171,7 @@ impl Conn {
             wbuf: Vec::new(),
             wpos: 0,
             pending: Vec::with_capacity(flush_every),
-            proto,
+            proto: WireProto::Text,
             text: TextDecoder::default(),
             id,
             trace: 0,
@@ -685,7 +686,7 @@ impl Conn {
             Request::Migrate { slice, target } => {
                 Response::Count(self.migrate(slice, target, backend, shared)?)
             }
-            Request::AdoptFrame { slice, body } => {
+            Request::AdoptFrame { slice, body, .. } => {
                 self.frame_items(body.len());
                 Response::Count(self.adopt(slice, &body, backend, shared)?)
             }

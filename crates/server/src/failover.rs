@@ -26,8 +26,6 @@
 //!
 //! [`FailoverConfig`]: crate::server::FailoverConfig
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -36,6 +34,7 @@ use sprofile_concurrent::ShardedProfile;
 use sprofile_obs::{log, Level};
 use sprofile_replicate::{Applier, ApplierOptions};
 
+use crate::client::Client;
 use crate::repl::{BackendSink, ReplicaState};
 use crate::server::Shared;
 
@@ -88,24 +87,7 @@ struct PeerState {
 /// Queries `addr`'s `STATS` with `timeout` bounding connect, write, and
 /// read. `None` means unreachable (the election treats it as down).
 fn query_stats(addr: &str, timeout: Duration) -> Option<String> {
-    let sock = addr.to_socket_addrs().ok()?.next()?;
-    let stream = TcpStream::connect_timeout(&sock, timeout).ok()?;
-    stream.set_read_timeout(Some(timeout)).ok()?;
-    stream.set_write_timeout(Some(timeout)).ok()?;
-    stream.set_nodelay(true).ok();
-    let mut writer = stream.try_clone().ok()?;
-    writer.write_all(b"STATS\n").ok()?;
-    let mut line = String::new();
-    BufReader::new(stream).read_line(&mut line).ok()?;
-    line.strip_prefix("STATS ")
-        .map(|s| s.trim_end().to_string())
-}
-
-fn stat_u64(stats: &str, key: &str) -> Option<u64> {
-    stats
-        .split_whitespace()
-        .find_map(|kv| kv.strip_prefix(&format!("{key}=")))
-        .and_then(|v| v.parse().ok())
+    Client::connect_timeout(addr, timeout).ok()?.stats().ok()
 }
 
 fn stat_str<'s>(stats: &'s str, key: &str) -> Option<&'s str> {
@@ -119,8 +101,8 @@ fn peer_state(addr: &str, timeout: Duration) -> Option<PeerState> {
     Some(PeerState {
         addr: addr.to_string(),
         role: stat_str(&stats, "repl_role")?.to_string(),
-        epoch: stat_u64(&stats, "repl_epoch")?,
-        applied: stat_u64(&stats, "repl_applied_lsn")?,
+        epoch: Client::stats_field(&stats, "repl_epoch")?,
+        applied: Client::stats_field(&stats, "repl_applied_lsn")?,
     })
 }
 

@@ -12,11 +12,12 @@
 //! (p50/p99/p999/max in microseconds) — tail latency is a first-class
 //! output next to throughput, and the server benchmark records both.
 //!
-//! In binary mode ([`WireProto::Bin`]) each connection keeps a bounded
-//! window of `BATCH` frames in flight instead of waiting out one
-//! round trip per frame; the recorded latency is still send-to-reply
-//! for each frame, so queueing inside the window is visible in the
-//! tail.
+//! Frames and singles alike go through one window of requests in
+//! flight per connection ([`Client::send`] / [`Client::recv`]). In
+//! binary mode ([`WireProto::Bin`]) the window keeps many requests in
+//! flight instead of one round trip per request; the recorded latency
+//! is still send-to-reply for each request, so queueing inside the
+//! window is visible in the tail.
 
 use std::collections::VecDeque;
 use std::thread;
@@ -27,9 +28,9 @@ use sprofile_obs::hist::LogHistogram;
 use sprofile_streamgen::StreamConfig;
 
 use crate::client::{Client, ClientError, ClientResult};
-use crate::protocol::WireProto;
+use crate::protocol::{Request, WireProto};
 
-/// `BATCH` frames kept in flight per connection in binary mode. Text
+/// Requests kept in flight per connection in binary mode. Text
 /// mode stays strictly request/reply (window 1): the text protocol is
 /// the compatibility baseline, and the benchmark's text-vs-binary
 /// comparison measures the protocols as clients actually drive them.
@@ -139,36 +140,60 @@ fn elapsed_us(since: Instant) -> u64 {
     since.elapsed().as_micros().min(u64::MAX as u128) as u64
 }
 
-/// Receives the oldest in-flight `BATCH` reply and records its
-/// send-to-reply latency.
-fn recv_oldest(
-    client: &mut Client,
-    inflight: &mut VecDeque<Instant>,
-    hist: &mut LogHistogram,
-) -> ClientResult<()> {
-    let sent_at = inflight.pop_front().expect("inflight not empty");
-    client.batch_recv()?;
-    hist.record(elapsed_us(sent_at));
-    Ok(())
+/// The requests in flight on one connection, oldest first, each with
+/// its send time.
+struct Window {
+    depth: usize,
+    inflight: VecDeque<(Instant, Request)>,
 }
 
-fn drain(
-    client: &mut Client,
-    inflight: &mut VecDeque<Instant>,
-    hist: &mut LogHistogram,
-) -> ClientResult<()> {
-    client.flush_out()?;
-    while !inflight.is_empty() {
-        recv_oldest(client, inflight, hist)?;
+impl Window {
+    /// Sends `req`; once the window is full, flushes and receives the
+    /// oldest reply, so at most `depth` requests are ever in flight.
+    fn push(
+        &mut self,
+        client: &mut Client,
+        req: Request,
+        hist: &mut LogHistogram,
+    ) -> ClientResult<()> {
+        let sent_at = Instant::now();
+        client.send(&req)?;
+        // A reply is read by its request's shape alone, so a frame's
+        // tuples are dropped now rather than held for a whole window.
+        let req = match req {
+            Request::BatchFrame { .. } => Request::batch(Vec::new()),
+            other => other,
+        };
+        self.inflight.push_back((sent_at, req));
+        if self.inflight.len() >= self.depth {
+            client.flush_out()?;
+            self.recv_oldest(client, hist)?;
+        }
+        Ok(())
     }
-    Ok(())
+
+    /// Receives the oldest reply and records its send-to-reply latency.
+    fn recv_oldest(&mut self, client: &mut Client, hist: &mut LogHistogram) -> ClientResult<()> {
+        let (sent_at, req) = self.inflight.pop_front().expect("inflight not empty");
+        client.recv(&req)?;
+        hist.record(elapsed_us(sent_at));
+        Ok(())
+    }
+
+    fn drain(&mut self, client: &mut Client, hist: &mut LogHistogram) -> ClientResult<()> {
+        client.flush_out()?;
+        while !self.inflight.is_empty() {
+            self.recv_oldest(client, hist)?;
+        }
+        Ok(())
+    }
 }
 
 /// Sends one thread's stream: every 8th chunk as single `ADD`/`RM`
 /// requests (exercising the per-connection write buffer), the rest as
-/// `BATCH` frames. In binary mode everything — frames and singles
-/// alike — is pipelined up to [`BIN_WINDOW`] deep; text mode is strict
-/// request/reply. Returns `(batches, singles)` sent.
+/// `BATCH` frames, all through one [`Window`] — [`BIN_WINDOW`] deep in
+/// binary mode, strict request/reply in text. Returns
+/// `(batches, singles)` sent.
 fn drive_one(
     client: &mut Client,
     tuples: &[Tuple],
@@ -176,64 +201,34 @@ fn drive_one(
     hist: &mut LogHistogram,
 ) -> ClientResult<(u64, u64)> {
     let batch = batch.max(1);
-    let window = if client.proto() == WireProto::Bin {
+    let depth = if client.proto() == WireProto::Bin {
         BIN_WINDOW
     } else {
         1
     };
-    let mut inflight: VecDeque<Instant> = VecDeque::with_capacity(window);
+    let mut window = Window {
+        depth,
+        inflight: VecDeque::with_capacity(depth),
+    };
     let mut batches = 0u64;
     let mut singles = 0u64;
-    let send_single = |client: &mut Client, t: &Tuple, hist: &mut LogHistogram| {
-        let start = Instant::now();
-        let res = if t.is_add {
-            client.add(t.object)
-        } else {
-            client.remove(t.object)
-        };
-        hist.record(elapsed_us(start));
-        res
-    };
     for (i, chunk) in tuples.chunks(batch).enumerate() {
-        if (batch > 1 && i % 8 == 7) || batch == 1 {
-            if window > 1 {
-                // A binary single *is* a one-tuple BATCH frame on the
-                // wire (the client has no separate ADD/RM opcode), so
-                // it rides the same pipeline window instead of
-                // stalling a round trip.
-                for t in chunk {
-                    if inflight.len() >= window {
-                        client.flush_out()?;
-                        recv_oldest(client, &mut inflight, hist)?;
-                    }
-                    inflight.push_back(Instant::now());
-                    client.batch_send(std::slice::from_ref(t))?;
-                    singles += 1;
-                }
-            } else {
-                // Text singles are strict round trips; the window is
-                // already empty (window 1 receives eagerly).
-                drain(client, &mut inflight, hist)?;
-                for t in chunk {
-                    send_single(client, t, hist)?;
-                    singles += 1;
-                }
-            }
-        } else {
-            if inflight.len() >= window {
-                client.flush_out()?;
-                recv_oldest(client, &mut inflight, hist)?;
-            }
-            inflight.push_back(Instant::now());
-            client.batch_send(chunk)?;
-            if window == 1 {
-                client.flush_out()?;
-                recv_oldest(client, &mut inflight, hist)?;
-            }
+        if batch > 1 && i % 8 != 7 {
+            window.push(client, Request::batch(chunk.to_vec()), hist)?;
             batches += 1;
+            continue;
+        }
+        for t in chunk {
+            let req = if t.is_add {
+                Request::Add(t.object)
+            } else {
+                Request::Remove(t.object)
+            };
+            window.push(client, req, hist)?;
+            singles += 1;
         }
     }
-    drain(client, &mut inflight, hist)?;
+    window.drain(client, hist)?;
     // Read barrier: force the server to flush this connection's buffer
     // so `applied` in STATS reflects everything sent here.
     if let Some(first) = tuples.first() {

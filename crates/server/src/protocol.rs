@@ -56,28 +56,29 @@
 //!
 //! # Binary mode
 //!
-//! `BIN` upgrades the connection to the length-prefixed binary
-//! protocol defined in [`crate::bin_proto`]: `BATCH` payloads reuse
-//! replication's 5-byte tuple encoding, and the read queries get
-//! compact fixed-layout request/response frames. The reply to `BIN`
-//! itself is still the text line `OK BIN`; everything after it is
-//! binary. A server started with `serve --proto bin` expects binary
-//! frames from the first byte, but still accepts the `BIN\n` upgrade
-//! line (recognised as a pseudo-frame) so clients can speak one
-//! handshake regardless of the server's native mode.
+//! Every connection starts in text. `BIN` upgrades it to the
+//! length-prefixed binary protocol defined in [`crate::bin_proto`]:
+//! `BATCH` payloads reuse replication's 5-byte tuple encoding, and the
+//! read queries get compact fixed-layout request/response frames. The
+//! reply to `BIN` itself is still the text line `OK BIN`; everything
+//! after it is binary.
 //!
-//! Both protocols are thin codecs over one request core. This module
-//! decodes text lines into [`Request`]s and encodes the server's reply
-//! type as text; `bin_proto` does the same for binary frames. Each
-//! connection runs every frame through decode → [`Request`] →
-//! `execute` → reply → encode, so each verb's semantics (write gates,
-//! universe and ownership checks, counters) exist once and answer
-//! identically in both protocols. Malformed binary input — an unknown
-//! opcode, or a `BATCH` count beyond the cap — gets a typed binary
-//! `ERR` frame and the connection closes, since framing can no longer
-//! be trusted; in-frame semantic errors (bad op byte, object outside
-//! the universe) consume the frame, answer `ERR`, and keep the
-//! connection usable, exactly like text `BATCH` bodies.
+//! Both protocols are thin codecs over one request core, and each codec
+//! serves both ends of the wire. This module decodes text lines into
+//! [`Request`]s (`TextDecoder`) and encodes [`Response`]s as text for
+//! the server; for the client it encodes a [`Request`] as text
+//! ([`encode_request`]) and reads the reply back into the [`Response`]
+//! the server encoded ([`read_response`]). `bin_proto` does the same for
+//! binary frames. Each connection runs every frame through decode →
+//! [`Request`] → `execute` → [`Response`] → encode, so each verb's
+//! semantics (write gates, universe and ownership checks, counters)
+//! exist once and answer identically in both protocols. Malformed
+//! binary input — an unknown opcode, or a `BATCH` count beyond the
+//! cap — gets a typed binary `ERR` frame and the connection closes,
+//! since framing can no longer be trusted; in-frame semantic errors
+//! (bad op byte, object outside the universe) consume the frame,
+//! answer `ERR`, and keep the connection usable, exactly like text
+//! `BATCH` bodies.
 //!
 //! Any malformed line gets an `ERR <reason>` reply and the connection
 //! stays usable. A `BATCH` whose tuple lines contain an error is
@@ -216,7 +217,8 @@
 //! same length-prefixed framing as `METRICS`.
 
 use std::borrow::Cow;
-use std::io::Write as _;
+use std::io::{self, BufRead, Write as _};
+use std::str::FromStr;
 
 use sprofile::Tuple;
 use sprofile_persist::PartitionMap;
@@ -350,6 +352,8 @@ pub enum Request {
     AdoptFrame {
         /// The hash slice being shipped.
         slice: u32,
+        /// The sender's map version at ship time (diagnostic).
+        version: u64,
         /// The raw snapshot bytes.
         body: Vec<u8>,
     },
@@ -359,6 +363,55 @@ pub enum Request {
     Quit,
     /// `SHUTDOWN` — drain and stop the whole server.
     Shutdown,
+}
+
+impl Request {
+    /// A complete `BATCH` frame of `tuples`, as a client sends it.
+    pub fn batch(tuples: Vec<Tuple>) -> Request {
+        Request::BatchFrame {
+            count: tuples.len(),
+            tuples,
+            bad: None,
+        }
+    }
+
+    /// The request's command word, as the text protocol spells it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Request::Add(_) => "ADD",
+            Request::Remove(_) => "RM",
+            Request::Batch(_) | Request::BatchFrame { .. } => "BATCH",
+            Request::Mode => "MODE",
+            Request::Least => "LEAST",
+            Request::Freq(_) => "FREQ",
+            Request::Median => "MEDIAN",
+            Request::TopK(_) => "TOPK",
+            Request::Cal(_) => "CAL",
+            Request::Stats => "STATS",
+            Request::Metrics => "METRICS",
+            Request::Logtail(_) => "LOGTAIL",
+            Request::Spans(_) => "SPANS",
+            Request::Trace(_) => "TRACE",
+            Request::Snapshot(_) | Request::SnapshotFetch => "SNAPSHOT",
+            Request::Replicate { .. } => "REPLICATE",
+            Request::Promote => "PROMOTE",
+            Request::Map => "MAP",
+            Request::MapSet(_) => "MAPSET",
+            Request::Migrate { .. } => "MIGRATE",
+            Request::Adopt { .. } | Request::AdoptFrame { .. } => "ADOPT",
+            Request::BinUpgrade => "BIN",
+            Request::Quit => "QUIT",
+            Request::Shutdown => "SHUTDOWN",
+        }
+    }
+
+    /// Whether this is a `BATCH` frame either codec can carry: every
+    /// tuple decoded, as many as announced, and no more than
+    /// [`MAX_BATCH`].
+    pub(crate) fn is_sendable_batch(&self) -> bool {
+        matches!(self, Request::BatchFrame { count, tuples, bad: None }
+            if *count == tuples.len() && *count <= MAX_BATCH)
+    }
 }
 
 fn parse_arg<T: std::str::FromStr>(cmd: &str, arg: Option<&str>) -> Result<T, String> {
@@ -525,10 +578,11 @@ pub fn parse_tuple_line(line: &str) -> Result<Tuple, String> {
     Ok(Tuple { object, is_add })
 }
 
-/// One reply of the request core, before a codec encodes it: [`encode`]
-/// writes the text form, [`crate::bin_proto::encode`] the binary frame.
-#[derive(Debug)]
-pub(crate) enum Response {
+/// One reply of the request core: the server encodes it in the
+/// connection's protocol, and a client's [`read_response`] (or
+/// [`crate::bin_proto::read_response`]) reads the same value back.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Response {
     /// `OK` (`ADD`/`RM`/`TRACE`); binary `OK 0`.
     Ok,
     /// `OK <n>`: tuples accepted (`BATCH`), bytes written (`SNAPSHOT`),
@@ -621,6 +675,7 @@ enum Body {
     /// `ADOPT`: `want` raw bytes.
     Adopt {
         slice: u32,
+        version: u64,
         want: usize,
         bytes: Vec<u8>,
     },
@@ -659,8 +714,13 @@ impl TextDecoder {
                             tuples: Vec::with_capacity(want),
                             bad: None,
                         }),
-                        Ok(Some(Request::Adopt { slice, nbytes, .. })) => Some(Body::Adopt {
+                        Ok(Some(Request::Adopt {
                             slice,
+                            version,
+                            nbytes,
+                        })) => Some(Body::Adopt {
+                            slice,
+                            version,
                             want: nbytes,
                             bytes: Vec::new(),
                         }),
@@ -702,6 +762,7 @@ impl TextDecoder {
                 }
                 Some(Body::Adopt {
                     slice,
+                    version,
                     want,
                     mut bytes,
                 }) => {
@@ -709,10 +770,19 @@ impl TextDecoder {
                     bytes.extend_from_slice(&buf[used..used + take]);
                     used += take;
                     if bytes.len() < want {
-                        self.body = Some(Body::Adopt { slice, want, bytes });
+                        self.body = Some(Body::Adopt {
+                            slice,
+                            version,
+                            want,
+                            bytes,
+                        });
                         return (used, Decoded::Incomplete);
                     }
-                    let req = Request::AdoptFrame { slice, body: bytes };
+                    let req = Request::AdoptFrame {
+                        slice,
+                        version,
+                        body: bytes,
+                    };
                     return (used, Decoded::Request(req));
                 }
             }
@@ -757,10 +827,186 @@ pub(crate) fn encode(out: &mut Vec<u8>, reply: &Response) {
 /// A `<NAME> <nbytes>` header line followed by exactly `nbytes` of
 /// payload, so multi-line text rides the line protocol without
 /// desyncing it.
-fn sized(out: &mut Vec<u8>, name: &str, payload: &str) -> std::io::Result<()> {
+fn sized(out: &mut Vec<u8>, name: &str, payload: &str) -> io::Result<()> {
     writeln!(out, "{name} {}", payload.len())?;
     out.extend_from_slice(payload.as_bytes());
     Ok(())
+}
+
+/// Encodes one request as text, the inverse of `TextDecoder`: the
+/// bytes decode back to `req`. `Err` names a request text cannot carry
+/// and writes nothing: the inline snapshot fetch, a bodiless
+/// `BATCH`/`ADOPT` header, and what the decoder would refuse: a `BATCH`
+/// frame with an undecoded tuple or more than [`MAX_BATCH`] tuples, an
+/// `ADOPT` body over [`MAX_ADOPT_BYTES`], an invalid partition map, or
+/// a snapshot path that is not one trimmed line.
+pub fn encode_request(out: &mut Vec<u8>, req: &Request) -> Result<(), String> {
+    let name = req.name();
+    // Writing into a `Vec` cannot fail.
+    let _ = match req {
+        Request::Add(x) | Request::Remove(x) | Request::Freq(x) | Request::TopK(x) => {
+            writeln!(out, "{name} {x}")
+        }
+        Request::Cal(f) => writeln!(out, "{name} {f}"),
+        Request::Trace(id) => writeln!(out, "{name} {id}"),
+        Request::Logtail(n) | Request::Spans(n) => writeln!(out, "{name} {n}"),
+        Request::Snapshot(path)
+            if !path.is_empty() && !path.contains('\n') && path.trim() == path =>
+        {
+            writeln!(out, "{name} {path}")
+        }
+        Request::Replicate { start_lsn, epoch } => writeln!(out, "{name} {start_lsn} {epoch}"),
+        Request::MapSet(map) if map.validate().is_ok() => {
+            writeln!(out, "{name} {}", map.to_wire())
+        }
+        Request::Migrate { slice, target } => writeln!(out, "{name} {slice} {target}"),
+        Request::BatchFrame { count, tuples, .. } if req.is_sendable_batch() => {
+            let header = writeln!(out, "{name} {count}");
+            // Pushed piece by piece: `writeln!` per tuple line costs
+            // twice as much, and loadgen's text BATCH frames are all
+            // tuple lines.
+            for t in tuples {
+                out.extend_from_slice(if t.is_add { b"a " } else { b"r " });
+                out.extend_from_slice(t.object.to_string().as_bytes());
+                out.push(b'\n');
+            }
+            header
+        }
+        Request::AdoptFrame {
+            slice,
+            version,
+            body,
+        } if body.len() <= MAX_ADOPT_BYTES => {
+            let header = writeln!(out, "{name} {slice} {version} {}", body.len());
+            out.extend_from_slice(body);
+            header
+        }
+        Request::Mode
+        | Request::Least
+        | Request::Median
+        | Request::Stats
+        | Request::Metrics
+        | Request::Promote
+        | Request::Map
+        | Request::BinUpgrade
+        | Request::Quit
+        | Request::Shutdown => writeln!(out, "{name}"),
+        Request::Snapshot(_)
+        | Request::MapSet(_)
+        | Request::AdoptFrame { .. }
+        | Request::SnapshotFetch
+        | Request::Batch(_)
+        | Request::BatchFrame { .. }
+        | Request::Adopt { .. } => return Err(format!("{name} has no text encoding")),
+    };
+    Ok(())
+}
+
+/// Reads the text reply to `req` off a blocking reader (client side),
+/// the inverse of `encode`: it yields the [`Response`] the server
+/// encoded. A reply that does not answer `req`, or whose length prefix
+/// is implausible, is an [`io::ErrorKind::InvalidData`] error; a
+/// connection closed before the reply, [`io::ErrorKind::UnexpectedEof`].
+pub fn read_response<R: BufRead>(r: &mut R, req: &Request) -> io::Result<Response> {
+    let line = read_line(r)?;
+    if let Some(msg) = line.strip_prefix("ERR ") {
+        return Ok(Response::Err(msg.to_string()));
+    }
+    let (word, rest) = line.split_once(' ').unwrap_or((&line, ""));
+    let reply = match (req, word) {
+        (Request::Add(_) | Request::Remove(_) | Request::Trace(_), "OK") if rest.is_empty() => {
+            Some(Response::Ok)
+        }
+        (Request::BinUpgrade, "OK") if rest == "BIN" => Some(Response::Upgraded),
+        (Request::Promote, "OK") => {
+            pair(rest).map(|(lsn, epoch)| Response::Promoted { lsn, epoch })
+        }
+        (
+            Request::BatchFrame { .. }
+            | Request::Snapshot(_)
+            | Request::MapSet(_)
+            | Request::Migrate { .. }
+            | Request::AdoptFrame { .. },
+            "OK",
+        ) => num(rest).map(Response::Count),
+        (Request::Quit | Request::Shutdown, "BYE") if rest.is_empty() => Some(Response::Bye),
+        (Request::Mode, "NONE") => Some(Response::Mode(None)),
+        (Request::Mode, "MODE") => pair(rest).map(|p| Response::Mode(Some(p))),
+        (Request::Least, "NONE") => Some(Response::Least(None)),
+        (Request::Least, "LEAST") => pair(rest).map(|p| Response::Least(Some(p))),
+        (Request::Median, "NONE") => Some(Response::Median(None)),
+        (Request::Median, "MEDIAN") => num(rest).map(|f| Response::Median(Some(f))),
+        (Request::Freq(_), "FREQ") => pair(rest).map(|(x, f)| Response::Freq(x, f)),
+        (Request::Cal(_), "CAL") => num(rest).map(Response::Cal),
+        (Request::Stats, "STATS") => Some(Response::Stats(rest.to_string())),
+        (Request::Map, "MAP") => Some(Response::Map(rest.to_string())),
+        (Request::TopK(_), "TOPK") => match num(rest) {
+            Some(n) => Some(Response::TopK(read_top_k(r, n)?)),
+            None => None,
+        },
+        (Request::Metrics, "METRICS") => sized_payload(r, rest)?.map(Response::Metrics),
+        (Request::Logtail(_), "LOGTAIL") => sized_payload(r, rest)?.map(Response::Logtail),
+        (Request::Spans(_), "SPANS") => sized_payload(r, rest)?.map(Response::Spans),
+        _ => None,
+    };
+    reply.ok_or_else(|| invalid(format!("unexpected reply '{line}' to {}", req.name())))
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// One reply line, its `\n` (and any `\r`) stripped.
+pub(crate) fn read_line<R: BufRead>(r: &mut R) -> io::Result<String> {
+    let mut line = String::new();
+    if r.read_line(&mut line)? == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed",
+        ));
+    }
+    line.truncate(line.trim_end_matches(['\r', '\n']).len());
+    Ok(line)
+}
+
+fn num<T: FromStr>(field: &str) -> Option<T> {
+    field.parse().ok()
+}
+
+fn pair<A: FromStr, B: FromStr>(fields: &str) -> Option<(A, B)> {
+    let (a, b) = fields.split_once(' ')?;
+    Some((num(a)?, num(b)?))
+}
+
+/// The `n` `<obj> <freq>` lines after a `TOPK <n>` header. `n` is
+/// bounded like a binary `TOPK` reply, so a hostile header cannot make
+/// the client allocate unboundedly.
+fn read_top_k<R: BufRead>(r: &mut R, n: usize) -> io::Result<Vec<(u32, i64)>> {
+    if n > MAX_BATCH {
+        return Err(invalid(format!("TOPK reply count {n} is implausible")));
+    }
+    (0..n)
+        .map(|_| {
+            let line = read_line(r)?;
+            pair(&line).ok_or_else(|| invalid(format!("malformed TOPK entry '{line}'")))
+        })
+        .collect()
+}
+
+/// The payload after a `<NAME> <nbytes>` header ([`sized`]); `None`
+/// when `len` is not a number.
+fn sized_payload<R: BufRead>(r: &mut R, len: &str) -> io::Result<Option<String>> {
+    let Some(n) = num::<usize>(len) else {
+        return Ok(None);
+    };
+    if n > 1 << 24 {
+        return Err(invalid(format!("payload length {n} is implausible")));
+    }
+    let mut payload = vec![0u8; n];
+    r.read_exact(&mut payload)?;
+    String::from_utf8(payload)
+        .map(Some)
+        .map_err(|_| invalid("payload is not utf-8".into()))
 }
 
 #[cfg(test)]
@@ -979,6 +1225,7 @@ mod tests {
                 2,
                 Decoded::Request(Request::AdoptFrame {
                     slice: 2,
+                    version: 7,
                     body: b"ab\nc".to_vec(),
                 })
             )
@@ -1025,6 +1272,262 @@ mod tests {
             let mut out = Vec::new();
             encode(&mut out, &reply);
             assert_eq!(String::from_utf8(out).unwrap(), want, "{reply:?}");
+        }
+    }
+
+    use crate::bin_proto;
+    use proptest::prelude::*;
+
+    const ALPHABET: &[u8] = b"abxyz019_=./:";
+
+    /// A short non-empty string without spaces or line breaks.
+    fn word() -> impl Strategy<Value = String> {
+        prop::collection::vec(0..ALPHABET.len(), 1..10)
+            .prop_map(|ix| ix.into_iter().map(|i| char::from(ALPHABET[i])).collect())
+    }
+
+    fn partition_map() -> impl Strategy<Value = PartitionMap> {
+        (1u32..6, 1u32..4, any::<u64>()).prop_flat_map(|(slices, nodes, version)| {
+            prop::collection::vec(0..nodes, slices as usize..slices as usize + 1).prop_map(
+                move |owners| PartitionMap {
+                    version,
+                    slices,
+                    nodes: (0..nodes).map(|i| format!("10.0.0.{i}:7979")).collect(),
+                    owners,
+                },
+            )
+        })
+    }
+
+    /// Every request shape, with arbitrary arguments.
+    fn request() -> impl Strategy<Value = Request> {
+        prop_oneof![
+            any::<u32>().prop_map(Request::Add),
+            any::<u32>().prop_map(Request::Remove),
+            any::<usize>().prop_map(Request::Batch),
+            prop::collection::vec((any::<u32>(), any::<bool>()), 0..20).prop_map(|ts| {
+                Request::batch(
+                    ts.into_iter()
+                        .map(|(object, is_add)| Tuple { object, is_add })
+                        .collect(),
+                )
+            }),
+            Just(Request::Mode),
+            Just(Request::Least),
+            any::<u32>().prop_map(Request::Freq),
+            Just(Request::Median),
+            any::<u32>().prop_map(Request::TopK),
+            any::<i64>().prop_map(Request::Cal),
+            Just(Request::Stats),
+            Just(Request::Metrics),
+            any::<usize>().prop_map(Request::Logtail),
+            any::<usize>().prop_map(Request::Spans),
+            any::<u64>().prop_map(Request::Trace),
+            word().prop_map(Request::Snapshot),
+            Just(Request::SnapshotFetch),
+            (any::<u64>(), any::<u64>())
+                .prop_map(|(start_lsn, epoch)| Request::Replicate { start_lsn, epoch }),
+            Just(Request::Promote),
+            Just(Request::Map),
+            partition_map().prop_map(Request::MapSet),
+            (any::<u32>(), any::<u32>())
+                .prop_map(|(slice, target)| Request::Migrate { slice, target }),
+            (any::<u32>(), any::<u64>(), any::<usize>()).prop_map(|(slice, version, nbytes)| {
+                Request::Adopt {
+                    slice,
+                    version,
+                    nbytes,
+                }
+            }),
+            (
+                any::<u32>(),
+                any::<u64>(),
+                prop::collection::vec(any::<u8>(), 0..40)
+            )
+                .prop_map(|(slice, version, body)| Request::AdoptFrame {
+                    slice,
+                    version,
+                    body,
+                }),
+            Just(Request::BinUpgrade),
+            Just(Request::Quit),
+            Just(Request::Shutdown),
+        ]
+    }
+
+    /// The ten verbs that have no binary opcode.
+    fn text_only(req: &Request) -> bool {
+        matches!(
+            req,
+            Request::Metrics
+                | Request::Logtail(_)
+                | Request::Spans(_)
+                | Request::Snapshot(_)
+                | Request::Replicate { .. }
+                | Request::Promote
+                | Request::Map
+                | Request::MapSet(_)
+                | Request::Migrate { .. }
+                | Request::AdoptFrame { .. }
+        )
+    }
+
+    /// Header forms: the decoders hand the server complete frames only.
+    fn header(req: &Request) -> bool {
+        matches!(req, Request::Batch(_) | Request::Adopt { .. })
+    }
+
+    /// What a drawn reply is built from: whether it is an `ERR`, a
+    /// count, a pair, a text and `TOPK` entries.
+    type ReplyValues = (bool, u32, Option<(u32, i64)>, String, Vec<(u32, i64)>);
+
+    /// The reply the server could give `req`, built from the drawn
+    /// values; `None` where a request gets no reply frame.
+    fn reply_to(req: &Request, (err, n, pair, text, entries): ReplyValues) -> Option<Response> {
+        if err {
+            return Some(Response::Err(text));
+        }
+        let freq = pair.map(|(_, f)| f);
+        Some(match req {
+            Request::Add(_) | Request::Remove(_) | Request::Trace(_) => Response::Ok,
+            Request::BatchFrame { .. }
+            | Request::Snapshot(_)
+            | Request::MapSet(_)
+            | Request::Migrate { .. }
+            | Request::AdoptFrame { .. } => Response::Count(u64::from(n)),
+            Request::Quit | Request::Shutdown => Response::Bye,
+            Request::BinUpgrade => Response::Upgraded,
+            Request::Mode => Response::Mode(pair),
+            Request::Least => Response::Least(pair),
+            Request::Median => Response::Median(freq),
+            Request::Freq(x) => Response::Freq(*x, freq.unwrap_or_default()),
+            Request::TopK(_) => Response::TopK(entries),
+            Request::Cal(_) => Response::Cal(n),
+            Request::Stats => Response::Stats(format!("{text} m={n}")),
+            Request::Map => Response::Map(text),
+            Request::Metrics => Response::Metrics(format!("{text}\n{n}\n")),
+            Request::Logtail(_) => Response::Logtail(format!("{text}\n")),
+            Request::Spans(_) => Response::Spans(text),
+            Request::Promote => Response::Promoted {
+                lsn: u64::from(n),
+                epoch: freq.unwrap_or_default().unsigned_abs(),
+            },
+            Request::SnapshotFetch => Response::Snapshot(text.into_bytes()),
+            // A validated REPLICATE turns into a stream, not a reply.
+            Request::Replicate { .. } | Request::Batch(_) | Request::Adopt { .. } => return None,
+        })
+    }
+
+    fn reply_values() -> impl Strategy<Value = ReplyValues> {
+        (
+            (0u8..8, any::<u32>()),
+            (any::<bool>(), any::<u32>(), any::<i64>()),
+            word(),
+            prop::collection::vec((any::<u32>(), any::<i64>()), 0..6),
+        )
+            .prop_map(|((e, n), (some, x, f), text, entries)| {
+                (e == 0, n, some.then_some((x, f)), text, entries)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Every request a protocol can carry encodes and decodes back
+        /// to itself through the server's decoder (binary carries a
+        /// single ADD/RM as its one-tuple BATCH); every other request is
+        /// refused with an error naming it, and nothing is written.
+        #[test]
+        fn requests_round_trip_through_the_server_decoders(req in request()) {
+            let mut text = Vec::new();
+            match encode_request(&mut text, &req) {
+                Ok(()) => {
+                    let (used, got) = TextDecoder::default().decode(&text, false);
+                    prop_assert_eq!(used, text.len());
+                    prop_assert_eq!(got, Decoded::Request(req.clone()));
+                }
+                Err(msg) => {
+                    prop_assert!(text.is_empty());
+                    prop_assert!(msg.contains(req.name()), "{msg}");
+                    prop_assert!(header(&req) || req == Request::SnapshotFetch, "{req:?}");
+                }
+            }
+            let mut bin = Vec::new();
+            match bin_proto::encode_request(&mut bin, &req) {
+                Ok(()) => {
+                    let want = match req {
+                        Request::Add(x) => Request::batch(vec![Tuple::add(x)]),
+                        Request::Remove(x) => Request::batch(vec![Tuple::remove(x)]),
+                        other => other,
+                    };
+                    prop_assert_eq!(bin_proto::decode(&bin), (bin.len(), Decoded::Request(want)));
+                }
+                Err(msg) => {
+                    prop_assert!(bin.is_empty());
+                    prop_assert!(msg.contains(req.name()), "{msg}");
+                    prop_assert!(
+                        text_only(&req) || header(&req) || req == Request::BinUpgrade,
+                        "{req:?}"
+                    );
+                }
+            }
+        }
+
+        /// Every reply the server encodes for a request reads back, in
+        /// both protocols, as the same `Response`, consuming exactly its
+        /// own bytes.
+        #[test]
+        fn replies_read_back_as_the_response_the_server_encoded(
+            (req, values) in (request(), reply_values())
+        ) {
+            let Some(reply) = reply_to(&req, values) else {
+                return Ok(());
+            };
+            if encode_request(&mut Vec::new(), &req).is_ok() {
+                let mut wire = Vec::new();
+                encode(&mut wire, &reply);
+                let mut rest = &wire[..];
+                prop_assert_eq!(read_response(&mut rest, &req).expect("text reply"), reply.clone());
+                prop_assert!(rest.is_empty());
+            }
+            if bin_proto::encode_request(&mut Vec::new(), &req).is_ok() {
+                let mut wire = Vec::new();
+                bin_proto::encode(&mut wire, &reply);
+                let mut rest = &wire[..];
+                prop_assert_eq!(bin_proto::read_response(&mut rest, &req).expect("bin reply"), reply);
+                prop_assert!(rest.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn encoders_refuse_what_the_decoders_would_not_return() {
+        let mut map = PartitionMap::round_robin(2, vec!["a:1".into()]);
+        map.owners[1] = 5;
+        let oversized = Request::batch(vec![Tuple::add(0); MAX_BATCH + 1]);
+        let mut undecoded = Request::batch(vec![Tuple::add(1)]);
+        if let Request::BatchFrame { bad, .. } = &mut undecoded {
+            *bad = Some("tuple 2: bad".into());
+        }
+        for req in [oversized, undecoded] {
+            assert!(encode_request(&mut Vec::new(), &req).is_err());
+            assert!(bin_proto::encode_request(&mut Vec::new(), &req).is_err());
+        }
+        for path in ["", " a", "a\nQUIT"] {
+            let req = Request::Snapshot(path.into());
+            assert!(encode_request(&mut Vec::new(), &req).is_err(), "{path:?}");
+        }
+        assert!(encode_request(&mut Vec::new(), &Request::MapSet(map)).is_err());
+    }
+
+    #[test]
+    fn a_binary_single_reads_its_batch_ack_as_ok() {
+        // The server answers the one-tuple BATCH an ADD travels as.
+        let mut wire = Vec::new();
+        bin_proto::encode(&mut wire, &Response::Count(1));
+        for req in [Request::Add(3), Request::Remove(3)] {
+            let got = bin_proto::read_response(&mut &wire[..], &req).unwrap();
+            assert_eq!(got, Response::Ok);
         }
     }
 }

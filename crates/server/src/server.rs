@@ -56,7 +56,7 @@ use crate::cluster::{ClusterConfig, ClusterState};
 use crate::conn::{Conn, Flow};
 use crate::durability::{Durability, DurabilityConfig};
 use crate::metrics::{Metrics, PhaseHists, TickHists, VerbHists};
-use crate::protocol::{self, Response, WireProto};
+use crate::protocol::{self, Response};
 use crate::repl::{BackendSink, ReplState, ReplicaState};
 
 /// Poller wait when a worker has live connections.
@@ -164,11 +164,6 @@ pub struct ServerConfig {
     /// Connections served concurrently across all workers before new
     /// ones are shed with `ERR overloaded` (and counted in `shed`).
     pub max_conns: usize,
-    /// The protocol newly accepted connections start in. `Text` (the
-    /// default) always works and can upgrade per-connection via `BIN`;
-    /// `Bin` expects binary frames from the first byte (but still
-    /// recognises the `BIN\n` upgrade line).
-    pub proto: WireProto,
     /// Per-connection write-buffer flush threshold, in tuples.
     pub flush_every: usize,
     /// Directory `SNAPSHOT <path>` writes are confined to. Clients may
@@ -235,7 +230,6 @@ impl Default for ServerConfig {
             backend: BackendKind::Sharded { shards: 8 },
             workers: 4,
             max_conns: 1024,
-            proto: WireProto::Text,
             flush_every: 256,
             snapshot_dir: PathBuf::from("."),
             wal: None,
@@ -276,7 +270,6 @@ pub(crate) struct Shared {
     max_conns: u64,
     pub(crate) flush_every: usize,
     pub(crate) snapshot_dir: PathBuf,
-    pub(crate) proto: WireProto,
     /// Structured logging + event ring (always present; level may be
     /// off). Workers log through it, `LOGTAIL` dumps it.
     pub(crate) obs: Arc<Obs>,
@@ -543,7 +536,6 @@ impl Server {
                 config.flush_every.max(1)
             },
             snapshot_dir: config.snapshot_dir.clone(),
-            proto: config.proto,
             obs,
             verb_us: VerbHists::default(),
             phase_us: PhaseHists::default(),
@@ -581,7 +573,6 @@ impl Server {
             "listening",
             addr = addr,
             backend = "sharded",
-            proto = config.proto.name(),
             workers = worker_count,
         );
         // Optional plain-HTTP metrics endpoint; a bad address is a
@@ -1082,7 +1073,7 @@ fn accept_burst(
                 shared.metrics.connections_active.inc();
                 let id = shared.next_conn_id();
                 log!(shared.obs, Level::Debug, "conn", "accepted", conn = id);
-                conns.insert(key, Conn::new(stream, shared.proto, shared.flush_every, id));
+                conns.insert(key, Conn::new(stream, shared.flush_every, id));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -1095,8 +1086,8 @@ fn accept_burst(
 }
 
 /// Refuses a connection accepted over the budget: a short blocking
-/// write of the typed error (a text line, whatever the server's
-/// protocol: nothing was negotiated yet), then close. The `shed`
+/// write of the typed error (a text line: every connection starts in
+/// text), then close. The `shed`
 /// counter is the operator's overload signal.
 fn shed(mut stream: TcpStream, shared: &Shared) {
     shared.metrics.shed.inc();

@@ -8,12 +8,14 @@
 //! than a server per case and a stronger test: every case starts from
 //! the state the previous cases left behind.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use proptest::prelude::*;
 
 use sprofile::SProfile;
-use sprofile_server::{BackendKind, Client, Server, ServerConfig};
+use sprofile_server::{BackendKind, Client, ClientError, Server, ServerConfig};
 
 /// Small universe so frequencies collide and tie-breaking matters.
 const M: u32 = 24;
@@ -247,5 +249,33 @@ fn truncated_batch_frames_are_dropped() {
             "truncated batch must not apply"
         );
         client.quit().unwrap();
+    }
+}
+
+/// A one-shot fake server: accepts one connection, reads one request
+/// line, answers with `reply`, and closes.
+fn answer_once(reply: &'static [u8]) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake server");
+    let addr = listener.local_addr().expect("fake server address");
+    std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut line = String::new();
+        BufReader::new(stream.try_clone().expect("clone"))
+            .read_line(&mut line)
+            .expect("request line");
+        (&stream).write_all(reply).expect("reply");
+    });
+    addr
+}
+
+/// A hostile `TOPK` header is bounded like its binary counterpart: a
+/// typed protocol error, not a capacity-overflow panic in the caller.
+#[test]
+fn hostile_text_topk_count_is_a_protocol_error() {
+    let addr = answer_once(b"TOPK 18446744073709551615\n");
+    let mut client = Client::connect(addr).expect("connect");
+    match client.top_k(3) {
+        Err(ClientError::Protocol(msg)) => assert!(msg.contains("implausible"), "{msg}"),
+        other => panic!("expected a protocol error, got {other:?}"),
     }
 }

@@ -22,6 +22,7 @@ use proptest::prelude::*;
 
 use sprofile::{SProfile, Tuple};
 use sprofile_server::bin_proto::{self, Reply};
+use sprofile_server::protocol::{Request, Response};
 use sprofile_server::{
     loadgen, BackendKind, Client, ClientError, LoadgenConfig, Server, ServerConfig, WireProto,
 };
@@ -526,44 +527,6 @@ fn bin_upgrade_pipelines_with_binary_frames() {
     }
 }
 
-/// A server running natively in binary mode (`--proto bin`) still
-/// accepts the text `BIN` upgrade line, so clients speak one handshake
-/// regardless of the server's proto; a stray `'B'` that is not the
-/// upgrade line is a framing error.
-#[test]
-fn native_bin_server_accepts_the_text_upgrade_line() {
-    let server = Server::start(
-        ServerConfig {
-            m: M,
-            backend: BackendKind::Sharded { shards: 4 },
-            workers: 2,
-            proto: WireProto::Bin,
-            ..ServerConfig::default()
-        },
-        "127.0.0.1:0",
-    )
-    .expect("bind bin server");
-    let addr = server.local_addr().to_string();
-
-    // The uniform handshake works against a bin-native server.
-    let mut client = Client::connect_with(addr.as_str(), WireProto::Bin).expect("connect");
-    client.add(1).expect("ADD");
-    assert_eq!(client.freq(1).expect("FREQ"), 1);
-    client.quit().expect("QUIT");
-
-    // A stray 'B' that can no longer become "BIN\r\n" is a framing
-    // error: typed ERR, then close.
-    let mut raw = RawBin::connect_raw(addr.as_str());
-    raw.write(b"BXX");
-    match raw.reply() {
-        Reply::Err(msg) => assert!(msg.contains("stray 'B'"), "{msg}"),
-        other => panic!("expected ERR, got {other:?}"),
-    }
-    raw.assert_closed();
-
-    assert_eq!(server.shutdown(), 1);
-}
-
 /// Past `--max-conns` the server sheds instead of queueing: the shed
 /// connection gets a typed `ERR overloaded` line and a close, existing
 /// connections keep working, and the `shed` counter shows up in STATS.
@@ -766,4 +729,114 @@ fn snapshot_fetch_returns_the_full_state_inline() {
     );
     text.quit().expect("quit");
     server.shutdown();
+}
+
+/// The mixed window the pipelining tests send: BATCH, FREQ, MODE, TOPK,
+/// CAL, MEDIAN, STATS, twice over, with different tuples each time.
+fn mixed_window() -> Vec<Request> {
+    (0..2u32)
+        .flat_map(|round| {
+            let batch = (0..40u32)
+                .map(|i| Tuple {
+                    object: (i * 5 + round * 3) % M,
+                    is_add: i % 4 != round,
+                })
+                .collect();
+            [
+                Request::batch(batch),
+                Request::Freq(round * 7),
+                Request::Mode,
+                Request::TopK(4 + round),
+                Request::Cal(i64::from(round) + 1),
+                Request::Median,
+                Request::Stats,
+            ]
+        })
+        .collect()
+}
+
+/// The reply the server owes `req`, applying its writes to the oracle.
+/// A `STATS` payload is cut down to `applied`, the field the oracle
+/// knows.
+fn oracle_reply(oracle: &mut SProfile, applied: &mut u64, req: &Request) -> Response {
+    match req {
+        Request::BatchFrame { tuples, .. } => {
+            oracle.apply_batch(tuples);
+            *applied += tuples.len() as u64;
+            Response::Count(tuples.len() as u64)
+        }
+        Request::Freq(x) => Response::Freq(*x, oracle.frequency(*x)),
+        Request::Mode => Response::Mode(oracle_mode(oracle)),
+        Request::TopK(k) => Response::TopK(oracle.top_k(*k)),
+        Request::Cal(f) => Response::Cal(oracle.count_at_least(*f)),
+        Request::Median => Response::Median(oracle.median()),
+        Request::Stats => Response::Stats(format!("applied={applied}")),
+        other => panic!("no oracle reply for {other:?}"),
+    }
+}
+
+fn applied_only(reply: Response) -> Response {
+    match reply {
+        Response::Stats(payload) => {
+            let applied = Client::stats_field(&payload, "applied").expect("applied field");
+            Response::Stats(format!("applied={applied}"))
+        }
+        other => other,
+    }
+}
+
+/// Any request pipelines over `proto`: the whole mixed window goes out
+/// through `send` and one `flush_out` before the first `recv`, and each
+/// reply matches the oracle and what the same requests get one round
+/// trip at a time on a twin server.
+fn mixed_window_pipelines(proto: WireProto) {
+    let servers = [
+        start(BackendKind::Sharded { shards: 5 }),
+        start(BackendKind::Sharded { shards: 5 }),
+    ];
+    let window = mixed_window();
+
+    let mut piped = Client::connect_with(servers[0].local_addr(), proto).expect("connect");
+    for req in &window {
+        piped.send(req).expect("send");
+    }
+    piped.flush_out().expect("flush");
+    let pipelined: Vec<Response> = window
+        .iter()
+        .map(|req| applied_only(piped.recv(req).expect("recv")))
+        .collect();
+
+    let mut single = Client::connect_with(servers[1].local_addr(), proto).expect("connect");
+    let one_at_a_time: Vec<Response> = window
+        .iter()
+        .map(|req| {
+            single.send(req).expect("send");
+            single.flush_out().expect("flush");
+            applied_only(single.recv(req).expect("recv"))
+        })
+        .collect();
+
+    let mut oracle = SProfile::new(M);
+    let mut applied = 0;
+    let expected: Vec<Response> = window
+        .iter()
+        .map(|req| oracle_reply(&mut oracle, &mut applied, req))
+        .collect();
+    assert_eq!(pipelined, expected, "{proto:?} pipelined vs oracle");
+    assert_eq!(one_at_a_time, pipelined, "{proto:?} one at a time");
+    piped.quit().expect("quit");
+    single.quit().expect("quit");
+    for server in servers {
+        server.shutdown();
+    }
+}
+
+#[test]
+fn mixed_window_pipelines_over_text() {
+    mixed_window_pipelines(WireProto::Text);
+}
+
+#[test]
+fn mixed_window_pipelines_over_bin() {
+    mixed_window_pipelines(WireProto::Bin);
 }
