@@ -19,7 +19,7 @@
 //! (`D` = number of distinct frequency values.)
 //!
 //! Additionally, [`ExpHistogram`] implements the §1-cited sliding-window
-//! sketching line of work (Datar et al. [5]): approximate window counts in
+//! sketching line of work (Datar et al. \[5\]): approximate window counts in
 //! O((1/ε)·log²W) space, the space/exactness trade-off the paper's exact
 //! window adapter sidesteps.
 

@@ -669,9 +669,11 @@ pub fn stats_show<W: Write>(addr: &str, out: &mut W) -> Result<(), CommandError>
 }
 
 /// `stats --watch`: poll `STATS` every `every_ms` and print the *deltas*
-/// of the numeric fields — a poor man's top for a live server. Stops
-/// after `count` samples when given (the CLI default runs until the
-/// server goes away or the user interrupts).
+/// of the numeric fields — a poor man's top for a live server. The
+/// `uptime_s` clock is only in the first, absolute line: it moves on an
+/// idle server too, so an interval with no other change prints
+/// `(idle)`. Stops after `count` samples when given (the CLI default
+/// runs until the server goes away or the user interrupts).
 pub fn stats_watch<W: Write>(
     addr: &str,
     every_ms: u64,
@@ -688,6 +690,7 @@ pub fn stats_watch<W: Write>(
         let fields: Vec<(String, i64)> = stats
             .split_whitespace()
             .filter_map(|kv| kv.split_once('='))
+            .filter(|(k, _)| *k != "uptime_s")
             .filter_map(|(k, v)| v.parse::<i64>().ok().map(|n| (k.to_string(), n)))
             .collect();
         sample += 1;
@@ -1791,6 +1794,16 @@ sprofile_uptime_seconds 3\n";
         assert_eq!(lines.len(), 2, "{text}");
         assert!(lines[0].starts_with("[1] "), "{text}");
         assert!(lines[1].starts_with("[2]"), "{text}");
+
+        // An idle server reads idle, although its uptime clock ticks
+        // between two samples 1.1 s apart.
+        let mut out = Vec::new();
+        stats_watch(&addr, 1100, Some(2), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert!(lines[0].contains(" uptime_s="), "{text}");
+        assert_eq!(lines[1], "[2] (idle)", "{text}");
 
         let mut out = Vec::new();
         logtail_show(&addr, 64, &mut out).unwrap();

@@ -65,7 +65,7 @@ pub fn kcore_decomposition<P: MinPeeler>(g: &Graph) -> CoreDecomposition {
 /// Validates a claimed decomposition directly from the definition:
 /// in the subgraph induced by `{v : coreness[v] >= k}` every node must
 /// have induced degree ≥ k, and each node's coreness must be maximal
-/// (node v is *not* in the (coreness[v]+1)-core). O(V·E) — tests only.
+/// (node v is *not* in the (`coreness[v]+1`)-core). O(V·E) — tests only.
 pub fn verify_coreness(g: &Graph, coreness: &[u32]) -> Result<(), String> {
     let n = g.num_nodes();
     let max_k = coreness.iter().copied().max().unwrap_or(0);

@@ -1,8 +1,8 @@
 //! # sprofile-rangequery — range mode query over a *static* array
 //!
 //! The S-Profile paper's §1 contrasts its dynamic problem with the *range
-//! mode query* line of work (Chan et al. [4], Krizanc et al. [10],
-//! Petersen & Grabowski [13]): given a **fixed** array `A` of values in
+//! mode query* line of work (Chan et al. \[4\], Krizanc et al. \[10\],
+//! Petersen & Grabowski \[13\]): given a **fixed** array `A` of values in
 //! `[0, m)`, preprocess it so that the mode of any sub-array `A[l..r]`
 //! can be answered quickly. This crate implements the three classic
 //! points on that trade-off curve so the contrast is runnable:

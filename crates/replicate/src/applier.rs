@@ -280,7 +280,7 @@ fn session(
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     let mut expected = sink.position();
-    writer.write_all(format!("REPLICATE {expected} {}\n", sink.epoch()).as_bytes())?;
+    writer.write_all(frame::encode_replicate(expected, sink.epoch()).as_bytes())?;
     writer.flush()?;
     stats.connected.store(1, Ordering::Relaxed);
 

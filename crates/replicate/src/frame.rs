@@ -45,6 +45,15 @@
 //! Record payloads are binary (the same 5-byte tuple layout as WAL
 //! records) because a catch-up ships millions of tuples; headers are
 //! text so a session is still inspectable with `nc`.
+//!
+//! This module is the replication plane's only codec, for both ends:
+//! the handshake ([`encode_replicate`]), the frames and the acks. It
+//! cannot use the server's request codec, because `sprofile-server`
+//! depends on this crate and not the other way round. The handshake is
+//! the one line both codecs write; a server-side test checks that
+//! [`encode_replicate`] writes exactly the bytes the server's text
+//! encoder writes for the same request, and that the server parses
+//! them back into it.
 
 use std::io::{self, Read, Write};
 
@@ -195,6 +204,13 @@ pub fn decode_tuples(payload: &[u8]) -> Result<Vec<Tuple>, String> {
             is_add: chunk[0] != 0,
         })
         .collect())
+}
+
+/// The `REPLICATE <lsn> <epoch>` handshake line a replica opens its
+/// stream with (with trailing newline): the first LSN it needs and the
+/// highest generation it has followed.
+pub fn encode_replicate(lsn: u64, epoch: u64) -> String {
+    format!("REPLICATE {lsn} {epoch}\n")
 }
 
 /// The `ACK` line for `lsn` (with trailing newline).

@@ -245,20 +245,6 @@ impl ClusterState {
         let owned = map.owners.iter().filter(|&&o| o == self.node).count();
         (owned as u64, u64::from(map.slices))
     }
-
-    /// The `STATS` fragment (leading space included).
-    pub(crate) fn stats_frag(&self) -> String {
-        let (owned, slices) = self.ownership();
-        format!(
-            " cluster_slices={} cluster_node={} cluster_owned={} map_version={} moved_rejects={} migrations={}",
-            slices,
-            self.node,
-            owned,
-            self.version(),
-            self.moved_rejects.get(),
-            self.migrations.get()
-        )
-    }
 }
 
 #[cfg(test)]

@@ -611,7 +611,7 @@ impl Conn {
             }
             Request::Stats => {
                 self.flush_now(backend, shared);
-                Response::Stats(shared.stats_payload())
+                Response::Stats(crate::prom::stats(shared))
             }
             Request::Metrics => {
                 // Flush first, like STATS, so the exposition and a STATS

@@ -388,7 +388,8 @@ impl Durability {
     }
 
     /// The WAL's lock-free metrics block (counters plus the fsync /
-    /// checkpoint duration histograms), for `METRICS` rendering.
+    /// checkpoint duration histograms), read by the field table in
+    /// `prom` for `STATS` and `METRICS`.
     pub(crate) fn wal_metrics(&self) -> &WalMetrics {
         &self.metrics
     }
@@ -396,36 +397,6 @@ impl Durability {
     /// WAL append/checkpoint failures so far (the `wal_errors` stat).
     pub(crate) fn error_count(&self) -> u64 {
         self.errors.load(Ordering::Relaxed)
-    }
-
-    /// The `STATS` fragment for WAL mode.
-    pub(crate) fn render(&self) -> String {
-        let fsync = self.metrics.fsync_us();
-        let batch = self.metrics.group_batch();
-        let batch_avg = if batch.count() == 0 {
-            0
-        } else {
-            batch.sum() / batch.count()
-        };
-        format!(
-            "wal_records={} wal_tuples={} wal_bytes={} wal_segments={} wal_fsyncs={} \
-             wal_checkpoints={} wal_errors={} wal_failed={} wal_fsync_p50_us={} \
-             wal_fsync_p99_us={} wal_fsync_max_us={} wal_lock_wait_p99_us={} \
-             wal_group_batch_avg={}",
-            self.metrics.records(),
-            self.metrics.tuples(),
-            self.metrics.bytes(),
-            self.metrics.segments(),
-            self.metrics.fsyncs(),
-            self.metrics.checkpoints(),
-            self.errors.load(Ordering::Relaxed),
-            u8::from(self.failed()),
-            fsync.quantile(0.5),
-            fsync.quantile(0.99),
-            fsync.max(),
-            self.metrics.lock_wait_us().quantile(0.99),
-            batch_avg,
-        )
     }
 }
 
@@ -467,26 +438,9 @@ mod tests {
                 d.checkpoint_now(&b).unwrap();
             }
             // The next boot of the same dir picks the state back up.
-            let (d, recovered) = Durability::open(&cfg, 16).unwrap();
+            let (_d, recovered) = Durability::open(&cfg, 16).unwrap();
             assert_eq!(recovered.profile.frequency(2), 2, "{kind:?}");
             assert_eq!(recovered.profile.frequency(5), -1, "{kind:?}");
-            let stats = d.render();
-            for key in [
-                "wal_records=",
-                "wal_tuples=",
-                "wal_bytes=",
-                "wal_segments=",
-                "wal_fsyncs=",
-                "wal_checkpoints=",
-                "wal_errors=",
-                "wal_fsync_p50_us=",
-                "wal_fsync_p99_us=",
-                "wal_fsync_max_us=",
-                "wal_lock_wait_p99_us=",
-                "wal_group_batch_avg=",
-            ] {
-                assert_eq!(stats.matches(key).count(), 1, "{key} in {stats}");
-            }
             std::fs::remove_dir_all(&dir).ok();
         }
     }

@@ -1,6 +1,7 @@
-//! Server-wide metrics: lock-free `AtomicU64` counters, rendered as the
-//! `STATS` reply's `key=value` list, plus the per-verb and per-phase
-//! latency histograms behind `METRICS`.
+//! Server-wide metrics storage: lock-free `AtomicU64` counters plus the
+//! per-verb, per-phase and per-tick histograms. The field table in
+//! `prom` reads them for both `STATS` and `METRICS`; nothing here
+//! renders.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -61,7 +62,8 @@ impl Counter {
 }
 
 /// All per-server counters. One instance is shared (via `Arc`) by every
-/// connection worker; `STATS` renders a point-in-time reading.
+/// connection worker; `STATS` and `METRICS` render a point-in-time
+/// reading.
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// Connections accepted over the server's lifetime.
@@ -95,30 +97,6 @@ pub struct Metrics {
     pub snapshots: Counter,
     /// `ERR` replies sent.
     pub errors: Counter,
-}
-
-impl Metrics {
-    /// Renders the `STATS` payload: space-separated `key=value` pairs in
-    /// a fixed order (stable for tests and scrapers).
-    pub fn render(&self) -> String {
-        format!(
-            "accepted={} active={} conns={} shed={} adds={} removes={} batches={} \
-             batch_tuples={} applied={} flushes={} queries={} snapshots={} errors={}",
-            self.connections_accepted.get(),
-            self.connections_active.get(),
-            self.conns.get(),
-            self.shed.get(),
-            self.ops_add.get(),
-            self.ops_remove.get(),
-            self.ops_batch.get(),
-            self.batch_tuples.get(),
-            self.applied.get(),
-            self.flushes.get(),
-            self.queries.get(),
-            self.snapshots.get(),
-            self.errors.get(),
-        )
-    }
 }
 
 /// Every request verb that gets a server-side latency histogram. The
@@ -345,37 +323,6 @@ mod tests {
         assert_eq!(c.get(), 5);
         c.dec();
         assert_eq!(c.get(), 4);
-    }
-
-    #[test]
-    fn render_is_stable_and_complete() {
-        let m = Metrics::default();
-        m.connections_accepted.inc();
-        m.ops_add.add(3);
-        m.applied.add(3);
-        let s = m.render();
-        assert!(s.contains("accepted=1"), "{s}");
-        assert!(s.contains("adds=3"), "{s}");
-        assert!(s.contains("applied=3"), "{s}");
-        assert!(s.contains("errors=0"), "{s}");
-        // Every key present exactly once.
-        for key in [
-            "accepted=",
-            "active=",
-            "conns=",
-            "shed=",
-            "adds=",
-            "removes=",
-            "batches=",
-            "batch_tuples=",
-            "applied=",
-            "flushes=",
-            "queries=",
-            "snapshots=",
-            "errors=",
-        ] {
-            assert_eq!(s.matches(key).count(), 1, "{key} in {s}");
-        }
     }
 
     #[test]

@@ -106,47 +106,21 @@
 //! they never occupy one of the bounded accept-pool slots. The
 //! connection stays in streaming mode until either side closes it.
 //!
-//! `STATS` always reports `wal=0|1`. When the server runs in `--wal`
-//! mode (`wal=1`) the payload additionally carries the durability
-//! counters `wal_records` (records appended), `wal_tuples` (tuples
-//! inside them), `wal_bytes` (bytes written to segments),
-//! `wal_segments` (live segment files), `wal_fsyncs` (fsyncs issued),
-//! `wal_checkpoints` (checkpoints written this run), `wal_errors`
-//! (append/checkpoint failures), and `wal_failed` (0/1: the log has
-//! fail-stopped), plus the WAL latency summary `wal_fsync_p50_us` /
-//! `wal_fsync_p99_us` / `wal_fsync_max_us` (log-bucketed quantiles of
-//! per-fsync duration in microseconds), `wal_lock_wait_p99_us` (p99
-//! wait for the WAL mutex across every acquirer — appends, idle syncs,
-//! checkpoints), and `wal_group_batch_avg` (mean tuples per appended
-//! record: the group-commit batch the log is absorbing). After a fail-stop the server keeps serving reads but
-//! answers new writes with `ERR wal failed…` — acknowledging writes
-//! that can never be logged would silently diverge from the durable
-//! log and from every replica tailing it.
-//!
-//! `STATS` reports the serving-core fields `conns` (connections
-//! currently owned by the event loops, replication streams excluded),
-//! `shed` (connections refused with `ERR overloaded` because the
-//! server was at `--max-conns`), and — when synchronous commit is
-//! enabled — a commit-wait histogram: `commit_waits` (acked flushes
-//! that waited), `commit_wait_p50_us` / `commit_wait_p99_us` /
-//! `commit_wait_max_us` (log-bucketed quantiles of the wait in
-//! microseconds).
-//!
-//! `STATS` also always reports the replication fields: `repl_role`
-//! (`none` | `primary` | `replica` | `promoted`), `repl_epoch` (current
-//! replication generation; 0 when no replication plane exists),
-//! `repl_connected` (attached replicas on a primary; 0/1 primary-link
-//! state on a replica), `repl_head_lsn` (newest local LSN on a primary;
-//! newest *reported* primary LSN on a replica), `repl_applied_lsn`
-//! (slowest replica's acked LSN on a primary; locally applied LSN on a
-//! replica), `repl_lag_lsn` (`head − applied`), `repl_records` /
-//! `repl_bytes` (shipped on a primary, applied on a replica),
-//! `repl_beats` (frames received from the primary, heartbeats included
-//! — the liveness counter failover monitors sample; 0 on a primary),
-//! `fenced_rejects` (streams refused or aborted on epoch grounds), and
-//! `sync_commit` (`off` | `quorum` | `all` | `degraded`: synchronous
-//! commit has timed out waiting for replica acks and fallen back to
-//! asynchronous until replicas catch up).
+//! `STATS` and `METRICS` report the fields of one table,
+//! `prom::FIELDS`: each row holds a field's `STATS` key, its Prometheus
+//! family, its help text and its reader, and README's field reference
+//! lists the rows. `STATS` is the rows with a key, as `key=value` pairs
+//! in table order. It always reports `wal=0|1` and the replication
+//! fields (`repl_role` … `sync_commit`, where `sync_commit` reads
+//! `degraded` while synchronous commit has timed out waiting for
+//! replica acks and fallen back to asynchronous). A `--wal` server adds
+//! the `wal_*` fields, including `wal_failed` (0/1: the log has
+//! fail-stopped); a `--sync-commit` primary adds the `commit_wait*`
+//! summary; a cluster node adds `cluster_slices` … `migrations`. After
+//! a fail-stop the server keeps serving reads but answers new writes
+//! with `ERR wal failed…` — acknowledging writes that can never be
+//! logged would silently diverge from the durable log and from every
+//! replica tailing it.
 //!
 //! # Cluster mode
 //!
@@ -173,28 +147,25 @@
 //! request line; the sink applies the per-object delta through its
 //! normal write path (durable, replicated) and answers `OK <applied>`.
 //!
-//! On a cluster node `STATS` additionally reports `cluster_slices`
-//! (total hash slices), `cluster_node` (this node's index),
-//! `cluster_owned` (slices currently owned), `map_version` (partition
-//! map version in effect), `moved_rejects` (write frames refused with
-//! `ERR moved`), and `migrations` (slice migrations completed with this
-//! node as the source).
-//!
 //! # Observability verbs
 //!
-//! `METRICS` renders the full metrics surface — every `STATS` counter,
-//! per-verb server-side latency histograms
+//! `METRICS` renders the rows of the same table that have a family, in
+//! the Prometheus text exposition format (version 0.0.4): the `STATS`
+//! fields other than the identity text and the histogram summaries,
+//! plus the per-verb latency histograms
 //! (`sprofile_request_duration_us{verb=…}`), the phase family
 //! `sprofile_phase_duration_us{phase=…}` (one series per span phase,
 //! `queue` through `reply`; every request records every phase, so the
 //! counts are equal and the sums partition the per-verb sums), the
 //! per-flush histogram `sprofile_flush_duration_us` (one sample per
-//! write-buffer flush), WAL fsync/checkpoint latency histograms, and
-//! per-second meters — in the Prometheus text exposition format
-//! (version 0.0.4). The reply is length-prefixed (`METRICS <nbytes>`
-//! followed by exactly `nbytes` of payload) so the connection never
-//! desyncs on the multi-line body. The same payload is served as plain
-//! HTTP on `GET /metrics` when the server runs with `--metrics-addr`.
+//! write-buffer flush), the WAL, replication and commit-wait
+//! histograms, and per-second meters. A family's type is derived: a
+//! histogram is a histogram, and any other family is a counter when its
+//! name ends in `_total` and a gauge when it does not. The reply is
+//! length-prefixed (`METRICS <nbytes>` followed by exactly `nbytes` of
+//! payload) so the connection never desyncs on the multi-line body. The
+//! same payload is served as plain HTTP on `GET /metrics` when the
+//! server runs with `--metrics-addr`.
 //!
 //! `LOGTAIL [n]` dumps the newest `n` events retained in the in-memory
 //! structured-log ring buffer (all retained events when `n` is omitted
@@ -1012,6 +983,20 @@ fn sized_payload<R: BufRead>(r: &mut R, len: &str) -> io::Result<Option<String>>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_replication_handshake_is_the_text_codecs_replicate_line() {
+        for start_lsn in [0, 1, u64::MAX] {
+            for epoch in [0, 1, u64::MAX] {
+                let req = Request::Replicate { start_lsn, epoch };
+                let mut want = Vec::new();
+                encode_request(&mut want, &req).unwrap();
+                let line = sprofile_replicate::frame::encode_replicate(start_lsn, epoch);
+                assert_eq!(line.as_bytes(), want, "{req:?}");
+                assert_eq!(parse_request(line.trim_end()), Ok(Some(req)));
+            }
+        }
+    }
 
     #[test]
     fn parses_every_command() {

@@ -1,6 +1,6 @@
 //! Server-side replication glue: the replica's [`ApplySink`] over a
 //! backend (+ optional local WAL), the per-server replication role, and
-//! the `STATS` fragment.
+//! the point-in-time reading `STATS` and `METRICS` report.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -41,9 +41,9 @@ impl ReplicaState {
     }
 }
 
-/// A point-in-time reading of the replication plane, shared by the
-/// `STATS` fragment and the `METRICS` exposition so the two can never
-/// disagree about how the counters are derived.
+/// A point-in-time reading of the replication plane. Each `STATS` or
+/// `METRICS` render takes one, so every replication field of a render
+/// (`repl_lag_lsn` included) comes from the same instant.
 pub(crate) struct ReplSnapshot {
     pub role: &'static str,
     pub epoch: u64,
@@ -127,33 +127,6 @@ impl ReplState {
             beats,
             fenced,
         }
-    }
-
-    /// The `STATS` fragment: `repl_role` plus the replication counters
-    /// from [`ReplState::snapshot`].
-    ///
-    /// Every role also reports the epoch plane: `repl_epoch` (current
-    /// generation), `repl_beats` (frames received from the primary —
-    /// the liveness signal failover monitors sample; 0 on a primary),
-    /// `fenced_rejects` (streams this node refused or aborted on epoch
-    /// grounds), and `sync_commit` (the caller-supplied mode string).
-    pub fn render(&self, sync_commit: &str) -> String {
-        let s = self.snapshot();
-        format!(
-            "repl_role={} repl_epoch={} repl_connected={} repl_head_lsn={} \
-             repl_applied_lsn={} repl_lag_lsn={} repl_records={} repl_bytes={} \
-             repl_beats={} fenced_rejects={} sync_commit={sync_commit}",
-            s.role,
-            s.epoch,
-            s.connected,
-            s.head,
-            s.applied,
-            s.lag(),
-            s.records,
-            s.bytes,
-            s.beats,
-            s.fenced,
-        )
     }
 }
 

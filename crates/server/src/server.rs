@@ -368,42 +368,6 @@ impl Shared {
         }
     }
 
-    /// The full `STATS` payload (everything after `STATS `), shared by
-    /// the text and binary reply paths.
-    pub(crate) fn stats_payload(&self) -> String {
-        let wal = match &self.durability {
-            Some(d) => format!(" wal=1 {}", d.render()),
-            None => " wal=0".to_string(),
-        };
-        let repl = self.repl.render(self.sync_commit_state());
-        let commit_wait = if self.sync_commit.is_on() {
-            format!(
-                " commit_waits={} commit_wait_p50_us={} commit_wait_p99_us={} commit_wait_max_us={}",
-                self.commit_wait.count(),
-                self.commit_wait.quantile(0.5),
-                self.commit_wait.quantile(0.99),
-                self.commit_wait.max()
-            )
-        } else {
-            String::new()
-        };
-        let cluster = self
-            .cluster
-            .as_ref()
-            .map(|c| c.stats_frag())
-            .unwrap_or_default();
-        format!(
-            "backend=sharded shards={} m={} uptime_s={} version={} build_profile={} {}{wal} \
-             {repl}{commit_wait}{cluster}",
-            self.shards,
-            self.m,
-            self.start.elapsed().as_secs(),
-            env!("CARGO_PKG_VERSION"),
-            build_profile(),
-            self.metrics.render()
-        )
-    }
-
     /// The synchronous-commit gate: blocks until enough attached
     /// replicas acknowledge `lsn`, the timeout degrades the batch to
     /// asynchronous, or the server stops. The replica count is
@@ -437,15 +401,6 @@ impl Shared {
     /// A fresh server-unique connection id (1-based; 0 is "no conn").
     pub(crate) fn next_conn_id(&self) -> u64 {
         self.conn_ids.fetch_add(1, Ordering::Relaxed) + 1
-    }
-}
-
-/// The compile profile, for `STATS` and `sprofile_build_info`.
-pub(crate) fn build_profile() -> &'static str {
-    if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
     }
 }
 

@@ -3,7 +3,7 @@
 //! The S-Profile paper (§1) positions itself against two families of prior
 //! art: *exact* sorted-order maintenance (heap, balanced tree — implemented
 //! in `sprofile-baselines`) and *approximate* frequency summaries that
-//! trade exactness for sublinear space (majority [3], frequency counts and
+//! trade exactness for sublinear space (majority \[3\], frequency counts and
 //! quantiles over sliding windows [1, 2, 5, 8, 11]). This crate implements
 //! the canonical members of the approximate family so that the trade-off
 //! the paper exploits — exact answers in O(m) space versus ε-approximate
@@ -11,7 +11,7 @@
 //!
 //! | structure | space | guarantee | deletions? |
 //! |-----------|-------|-----------|------------|
-//! | [`Mjrty`] (Boyer–Moore, ref [3]) | O(1) | majority candidate | no |
+//! | [`Mjrty`] (Boyer–Moore, ref \[3\]) | O(1) | majority candidate | no |
 //! | [`MisraGries`] | O(k) | underestimate, error ≤ n/(k+1) | no |
 //! | [`SpaceSaving`] | O(k) | overestimate, error ≤ n/k | no |
 //! | [`LossyCounting`] | O((1/ε)·log εn) | underestimate, error ≤ εn | no |

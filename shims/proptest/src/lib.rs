@@ -338,7 +338,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::Range;
 
-    /// Strategy for `Vec`s with element strategy `S`; see [`vec`].
+    /// Strategy for `Vec`s with element strategy `S`; see [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: Range<usize>,

@@ -365,6 +365,72 @@ fn metrics_exposition_parses_and_agrees_with_a_quiesced_stats() {
     server.shutdown();
 }
 
+/// One HTTP/1.1 `GET` against the `--metrics-addr` listener: the status
+/// line, the `Content-Type` header and the body.
+fn http_get(addr: &str, path: &str) -> (String, String, String) {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    write!(stream, "GET {path} HTTP/1.1\r\nHost: {addr}\r\n\r\n").unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    let (head, body) = reply.split_once("\r\n\r\n").expect("a header block");
+    let mut lines = head.split("\r\n");
+    let status = lines.next().unwrap_or_default().to_string();
+    let content_type = lines
+        .find_map(|l| l.strip_prefix("Content-Type: "))
+        .unwrap_or_default()
+        .to_string();
+    (status, content_type, body.to_string())
+}
+
+#[test]
+fn metrics_addr_serves_the_metrics_page_over_http() {
+    let server = Server::start(
+        ServerConfig {
+            m: 64,
+            workers: 2,
+            metrics_addr: Some("127.0.0.1:0".into()),
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let listening = server
+        .obs()
+        .tail_events(0)
+        .into_iter()
+        .find(|ev| ev.msg == "metrics http listening")
+        .expect("the listener logs its address");
+    let (_, addr) = listening
+        .fields
+        .iter()
+        .find(|(k, _)| *k == "addr")
+        .expect("an addr field");
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    c.add(5).unwrap();
+    assert_eq!(c.freq(5).unwrap(), 1);
+
+    let (status, content_type, body) = http_get(addr, "/metrics");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert!(
+        content_type.starts_with("text/plain; version=0.0.4"),
+        "{content_type}"
+    );
+    let scraped = parse_exposition(&body).expect("the HTTP page parses");
+    let verb = parse_exposition(&c.metrics().unwrap()).expect("the METRICS page parses");
+    assert_eq!(
+        scraped.types, verb.types,
+        "same families and types over HTTP and the verb"
+    );
+    assert_eq!(scraped.value("sprofile_adds_total"), 1.0);
+
+    let (status, _, _) = http_get(addr, "/nope");
+    assert_eq!(status, "HTTP/1.1 404 Not Found");
+
+    c.quit().unwrap();
+    server.shutdown();
+}
+
 #[test]
 fn stats_and_metrics_report_the_effective_shard_count() {
     // (m, requested shards, cluster slices, effective shards): a cluster
