@@ -55,7 +55,6 @@ fn start_cluster(nodes: usize) -> (Vec<Server>, Vec<String>) {
                     // rounds its shards up to anyway.
                     backend: BackendKind::Sharded { shards: 12 },
                     workers: 3,
-                    flush_every: 512,
                     cluster: Some(ClusterConfig {
                         slices: SLICES,
                         node,

@@ -497,7 +497,8 @@ pub fn serve<W: Write>(opts: &ServeOpts, out: &mut W) -> Result<(), CommandError
         },
         opts.addr.as_str(),
     )?;
-    // The effective count: a cluster node aligns it to its slices.
+    // The effective counts: a cluster node aligns its shards to its
+    // slices, and it and a sync-commit primary flush every write.
     let shards = server.shards();
     let wal = match &opts.wal {
         Some(w) => format!(" wal={} sync={}", w.dir.display(), w.sync.name()),
@@ -541,7 +542,7 @@ pub fn serve<W: Write>(opts: &ServeOpts, out: &mut W) -> Result<(), CommandError
         opts.m,
         opts.workers,
         opts.max_conns,
-        opts.flush
+        server.flush_every()
     )?;
     out.flush()?;
     let applied = server.wait();
@@ -605,9 +606,10 @@ pub fn promote<W: Write>(addr: &str, out: &mut W) -> Result<(), CommandError> {
 }
 
 /// `migrate`: hand a hash slice from the node at `addr` (which must own
-/// it) to another cluster node — a live rebalance: the owner ships a
-/// key-filtered checkpoint plus catch-up deltas, bumps the partition
-/// map version, and stale-map clients redirect via `ERR moved`.
+/// it) to another cluster node — a live rebalance: the owner ships the
+/// slice's frequencies (again after the flip if they changed), bumps
+/// the partition map version, and stale-map clients redirect via
+/// `ERR moved`.
 /// With `trace != 0` the connection is tagged first, so the hand-off's
 /// events land in every involved node's ring under that id (recover
 /// them with `sprofile logtail`).
@@ -670,9 +672,9 @@ pub fn stats_show<W: Write>(addr: &str, out: &mut W) -> Result<(), CommandError>
 
 /// `stats --watch`: poll `STATS` every `every_ms` and print the *deltas*
 /// of the numeric fields — a poor man's top for a live server. The
-/// `uptime_s` clock is only in the first, absolute line: it moves on an
-/// idle server too, so an interval with no other change prints
-/// `(idle)`. Stops after `count` samples when given (the CLI default
+/// `uptime_s` and `repl_beats` clocks are only in the first, absolute
+/// line: they move on an idle server (and replica) too, so an interval
+/// with no other change prints `(idle)`. Stops after `count` samples when given (the CLI default
 /// runs until the server goes away or the user interrupts).
 pub fn stats_watch<W: Write>(
     addr: &str,
@@ -690,7 +692,7 @@ pub fn stats_watch<W: Write>(
         let fields: Vec<(String, i64)> = stats
             .split_whitespace()
             .filter_map(|kv| kv.split_once('='))
-            .filter(|(k, _)| *k != "uptime_s")
+            .filter(|(k, _)| !matches!(*k, "uptime_s" | "repl_beats"))
             .filter_map(|(k, v)| v.parse::<i64>().ok().map(|n| (k.to_string(), n)))
             .collect();
         sample += 1;
@@ -1821,6 +1823,64 @@ sprofile_uptime_seconds 3\n";
 
         c.quit().unwrap();
         server.shutdown();
+    }
+
+    #[test]
+    fn stats_watch_reads_idle_on_a_wal_primary_and_its_replica() {
+        let base = std::env::temp_dir().join(format!("sprofile-cli-watch-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let primary = Server::start(
+            ServerConfig {
+                m: 32,
+                workers: 2,
+                wal: Some(DurabilityConfig::new(base.join("primary"))),
+                ..ServerConfig::default()
+            },
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let replica = Server::start(
+            ServerConfig {
+                m: 32,
+                workers: 2,
+                wal: Some(DurabilityConfig::new(base.join("replica"))),
+                replica_of: Some(primary.local_addr().to_string()),
+                ..ServerConfig::default()
+            },
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        // Wait for the stream: both ends report it connected.
+        for server in [&primary, &replica] {
+            let mut c = Client::connect(server.local_addr()).unwrap();
+            for _ in 0..500 {
+                if Client::stats_field(&c.stats().unwrap(), "repl_connected") == Some(1) {
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+            let stats = c.stats().unwrap();
+            assert_eq!(
+                Client::stats_field(&stats, "repl_connected"),
+                Some(1),
+                "{stats}"
+            );
+            c.quit().unwrap();
+        }
+        // The primary keeps sending `EPOCH` heartbeats to its idle
+        // replica; they are no data, so neither end reads busy.
+        for (side, server) in [("primary", &primary), ("replica", &replica)] {
+            let mut out = Vec::new();
+            stats_watch(&server.local_addr().to_string(), 1100, Some(2), &mut out).unwrap();
+            let text = String::from_utf8(out).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            assert_eq!(lines.len(), 2, "{side}: {text}");
+            assert!(lines[0].contains(" repl_beats="), "{side}: {text}");
+            assert_eq!(lines[1], "[2] (idle)", "{side}: {text}");
+        }
+        primary.shutdown();
+        replica.shutdown();
+        std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]

@@ -50,7 +50,7 @@ fn usage() -> &'static str {
      [--log-file <PATH>] [--slow-ms <MS>] [--metrics-addr <HOST:PORT>]\n  \
      sprofile promote  --addr <HOST:PORT>   (flip a replica writable)\n  \
      sprofile migrate  --addr <HOST:PORT> --slice <S> --target <NODE> [--trace <ID>]\n                    \
-     (live rebalance: hand a hash slice to another cluster node)\n  \
+     (live rebalance: ship a hash slice's frequencies to another node)\n  \
      sprofile map      --addr <HOST:PORT>   (print a node's partition map)\n  \
      sprofile stats    --addr <HOST:PORT> [--watch] [--every-ms <MS>] [--count <N>]\n  \
      sprofile logtail  --addr <HOST:PORT> [--n <N>]   (dump the server's log ring)\n  \
@@ -86,8 +86,8 @@ fn usage() -> &'static str {
      a hash-partitioned cluster: it owns the slices `x % S` its partition\n\
      map assigns it, refuses writes for foreign slices with 'ERR moved',\n\
      and answers global queries over its slices only (cluster clients\n\
-     scatter-gather exact answers); cluster nodes default --flush to 1 so\n\
-     rebalance hand-offs lose no acknowledged write.\n\
+     scatter-gather exact answers). Cluster and --sync-commit nodes apply\n\
+     every write before its OK and ignore --flush.\n\
      Observability: `serve` logs structured lines to stderr (--log-file\n\
      redirects, --log-level off silences) and always keeps the newest\n\
      events in an in-memory ring (`sprofile logtail`); --slow-ms logs any\n\
@@ -210,7 +210,7 @@ fn run(raw: &[String]) -> Result<(), String> {
         return Err(usage().to_string());
     };
     let args = Args::parse(&raw[1..]);
-    if args.has("help") {
+    if matches!(cmd.as_str(), "--help" | "help") || args.has("help") {
         println!("{}", usage());
         return Ok(());
     }
@@ -383,16 +383,13 @@ fn run(raw: &[String]) -> Result<(), String> {
             } else {
                 None
             };
-            // Cluster nodes default to per-write flushes: `MIGRATE`'s
-            // no-acked-write-lost hand-off relies on them.
-            let default_flush = if cluster.is_some() { 1usize } else { 256 };
             let opts = ServeOpts {
                 addr: args.get("addr").unwrap_or("127.0.0.1:7979").to_string(),
                 m: args.get_parsed_positive("m", 1_048_576u32)?,
                 backend: BackendKind::Sharded { shards },
                 workers: args.get_parsed_positive("workers", 4usize)?,
                 max_conns: args.get_parsed_positive("max-conns", 1024usize)?,
-                flush: args.get_parsed_positive("flush", default_flush)?,
+                flush: args.get_parsed_positive("flush", 256usize)?,
                 snapshot_dir: args.get("snapshot-dir").unwrap_or(".").to_string(),
                 wal,
                 replica_of,
@@ -735,6 +732,18 @@ mod tests {
         let raw = argv(&["serve", "--addr", "127.0.0.1", "--proto", "bin"]);
         let err = run(&raw).unwrap_err();
         assert!(err.contains("--proto") && err.contains("serve"), "{err}");
+    }
+
+    #[test]
+    fn help_as_the_command_prints_the_usage() {
+        // Both print the usage to stdout and succeed; an unknown command
+        // still fails, naming itself before the usage.
+        for form in ["--help", "help"] {
+            assert_eq!(run(&argv(&[form])), Ok(()), "sprofile {form}");
+        }
+        let err = run(&argv(&["helpme"])).unwrap_err();
+        assert!(err.starts_with("unknown command 'helpme'"), "{err}");
+        assert!(err.contains("usage:"), "{err}");
     }
 
     #[test]

@@ -45,7 +45,6 @@ fn start_node(
             m,
             backend,
             workers: 2,
-            flush_every: 1, // rebalance requires per-write durability
             snapshot_dir: std::env::temp_dir(),
             wal: Some(DurabilityConfig::new(dir)),
             cluster: Some(ClusterConfig {
@@ -191,6 +190,43 @@ fn a_three_node_cluster_agrees_with_the_oracle_through_a_live_migrate() {
     assert_eq!(map.owners[3], 2);
     c.quit().expect("quit");
     node0.shutdown();
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// A write acknowledged before a `MIGRATE` reaches the new owner, at
+/// the library's default `flush_every`: a cluster node applies each
+/// write before its `OK`, and the map flip waits for writes in flight.
+#[test]
+fn a_write_acked_before_a_migrate_reaches_the_new_owner() {
+    let base = temp_base("acked");
+    let addrs = reserve_addrs(2);
+    let servers: Vec<Server> = (0..2u32)
+        .map(|i| {
+            start_node(
+                32,
+                4,
+                i,
+                &addrs,
+                base.join(format!("node{i}")),
+                BackendKind::Sharded { shards: 2 },
+            )
+        })
+        .collect();
+    // Object 4 lies in slice 0, which node 0 owns at version 1.
+    let mut writer = Client::connect(&addrs[0]).expect("writer");
+    writer.add(4).expect("add");
+    let mut admin = Client::connect(&addrs[0]).expect("admin");
+    assert_eq!(admin.migrate(0, 1).expect("migrate"), 2);
+    admin.quit().expect("quit admin");
+    writer.quit().expect("quit writer");
+
+    let mut router = ClusterClient::connect(&addrs[1]).expect("router");
+    assert_eq!(router.map().owners[0], 1, "slice 0 moved to node 1");
+    assert_eq!(router.freq(4).expect("freq"), 1);
+    router.close().expect("close router");
+    for s in servers {
+        s.shutdown();
+    }
     std::fs::remove_dir_all(&base).ok();
 }
 

@@ -77,9 +77,7 @@ mod wal;
 
 pub use epoch::{read_epoch, write_epoch, EPOCH_FILE};
 pub use metrics::WalMetrics;
-pub use partition::{
-    read_partition_map, slice_snapshot_bytes, write_partition_map, PartitionMap, PARTITION_FILE,
-};
+pub use partition::{read_partition_map, write_partition_map, PartitionMap, PARTITION_FILE};
 pub use reader::SegmentReader;
 pub use record::MAX_RECORD_TUPLES;
 pub use recover::{dump_records, newest_checkpoint, recover, RecordInfo, Recovered};

@@ -161,22 +161,6 @@ impl PartitionMap {
     }
 }
 
-/// The key-filtered checkpoint emit for slice migration: a serialized
-/// [`SProfile`](sprofile::SProfile) snapshot carrying only the
-/// frequencies of objects in hash slice `slice` (out of `slices`),
-/// every other object zeroed. Shipping this to a slice's new owner and
-/// delta-applying it there moves exactly the slice's state — the same
-/// snapshot format the checkpoint/bootstrap paths already speak.
-pub fn slice_snapshot_bytes(freqs: &[i64], slices: u32, slice: u32) -> Vec<u8> {
-    let slices = slices.max(1);
-    let filtered: Vec<i64> = freqs
-        .iter()
-        .enumerate()
-        .map(|(x, &f)| if x as u32 % slices == slice { f } else { 0 })
-        .collect();
-    sprofile::SProfile::from_frequencies(&filtered).to_snapshot_bytes()
-}
-
 /// Reads the durable partition-map marker in `dir`. Missing, short, or
 /// corrupt markers read as `None` (fall back to the bootstrap map).
 pub fn read_partition_map(dir: &Path) -> Option<PartitionMap> {
@@ -302,17 +286,6 @@ mod tests {
             "7 5 a:1 0,0,0,0,0 tail", // trailing junk
         ] {
             assert!(PartitionMap::from_wire(bad).is_err(), "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn slice_snapshot_keeps_only_the_slice() {
-        let freqs: Vec<i64> = vec![3, -1, 4, 0, 5, 9, 2, 6];
-        let bytes = slice_snapshot_bytes(&freqs, 3, 1);
-        let snap = sprofile::SProfile::from_snapshot_bytes(&bytes).unwrap();
-        for x in 0..freqs.len() as u32 {
-            let want = if x % 3 == 1 { freqs[x as usize] } else { 0 };
-            assert_eq!(snap.frequency(x), want, "object {x}");
         }
     }
 

@@ -108,7 +108,8 @@ impl ApplierStats {
         self.records.load(Ordering::Relaxed)
     }
 
-    /// Frame bytes received and applied (headers + payloads).
+    /// Frame bytes received and applied (headers + payloads). `EPOCH`
+    /// heartbeats count only in [`ApplierStats::beats`].
     pub fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
     }
@@ -344,7 +345,6 @@ fn session(
                     sink.adopt_epoch(e).map_err(io::Error::other)?;
                 }
                 stats.epoch.fetch_max(e, Ordering::Relaxed);
-                stats.bytes.fetch_add(header_len, Ordering::Relaxed);
             }
             FrameHeader::Ckpt { lsn, nbytes } => {
                 let Some(snapshot) = frame::read_payload(&mut reader, nbytes as usize, stopped)?

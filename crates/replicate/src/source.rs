@@ -74,7 +74,8 @@ impl SourceMetrics {
     }
 
     /// Bytes shipped to replicas (headers + payloads, including
-    /// checkpoint bootstraps).
+    /// checkpoint bootstraps). `EPOCH` heartbeats are not data and are
+    /// not counted.
     pub fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
     }
@@ -300,8 +301,7 @@ impl ReplicationSource {
             writer.flush()?;
             return Err(io::Error::other("fenced: replica followed a newer epoch"));
         }
-        let bytes = frame::write_epoch(writer, my_epoch)?;
-        self.metrics.on_ship(0, bytes);
+        frame::write_epoch(writer, my_epoch)?;
         let mut cursor = start_lsn.max(1);
         let slot = self.registry.register(cursor.saturating_sub(1));
         let reader = SegmentReader::new(&self.dir);
@@ -420,9 +420,8 @@ impl ReplicationSource {
                                     // Re-read the gauge each beat: a
                                     // PROMOTE on this node mid-stream
                                     // must surface its bumped epoch.
-                                    let bytes = frame::write_epoch(writer, self.epoch())?;
+                                    frame::write_epoch(writer, self.epoch())?;
                                     writer.flush()?;
-                                    self.metrics.on_ship(0, bytes);
                                 }
                                 Step::Shipped
                             }

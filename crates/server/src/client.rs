@@ -358,9 +358,10 @@ impl Client {
         round_trip!(self, Request::Migrate { slice, target }, Response::Count(version) => version)
     }
 
-    /// `ADOPT` → ships `bytes` (a key-filtered checkpoint) for `slice`
-    /// to the node; returns the tuple count applied to converge. Text
-    /// header, raw binary body. Text-protocol only.
+    /// `ADOPT` → ships `bytes` for `slice` to the node: the frequency of
+    /// each object of the slice (`slice, slice + S, …`), 8 little-endian
+    /// bytes each. Returns the tuple count the node applied to match
+    /// them. Text header, raw binary body. Text-protocol only.
     pub fn adopt(&mut self, slice: u32, version: u64, bytes: &[u8]) -> ClientResult<u64> {
         let req = Request::AdoptFrame {
             slice,

@@ -29,7 +29,7 @@
 //! coordination beyond the version bump.
 
 use std::path::PathBuf;
-use std::sync::RwLock;
+use std::sync::{RwLock, RwLockReadGuard};
 
 use sprofile_persist::{read_partition_map, write_partition_map, PartitionMap};
 
@@ -75,19 +75,31 @@ pub(crate) struct ClusterState {
     pub(crate) migrations: Counter,
 }
 
-/// An immutable ownership snapshot, taken once per request so a map
-/// flip mid-request cannot split one frame's view of ownership.
-pub(crate) struct Mask {
-    slices: u32,
-    owners: Vec<u32>,
+/// A view of the partition map that holds its read lock, so one frame
+/// sees one ownership however long it runs. It is also the map flip's
+/// barrier: a write frame keeps the `Mask` its ownership check returned
+/// until its tuples are applied, and [`ClusterState::flip_owner`] takes
+/// the write lock, so a flip waits for every write admitted under the
+/// old map.
+///
+/// Code holding a `Mask` must not call another [`ClusterState`] method:
+/// with std's `RwLock`, a second read can block behind a waiting flip,
+/// which in turn waits for the first read, and both deadlock.
+pub(crate) struct Mask<'a> {
+    map: RwLockReadGuard<'a, PartitionMap>,
     node: u32,
 }
 
-impl Mask {
+impl Mask<'_> {
     /// Whether this node owns object `x`.
     #[inline]
     pub(crate) fn owned(&self, x: u32) -> bool {
-        self.owners[(x % self.slices) as usize] == self.node
+        self.map.owners[(x % self.map.slices) as usize] == self.node
+    }
+
+    /// The `ERR moved <ver>` body for the map this view holds.
+    pub(crate) fn moved_msg(&self) -> String {
+        format!("moved {}", self.map.version)
     }
 }
 
@@ -140,21 +152,19 @@ impl ClusterState {
         self.map.read().expect("map lock poisoned").clone()
     }
 
-    /// A point-in-time ownership snapshot.
-    pub(crate) fn mask(&self) -> Mask {
-        let map = self.map.read().expect("map lock poisoned");
+    /// The current ownership, held until the [`Mask`] drops.
+    pub(crate) fn mask(&self) -> Mask<'_> {
         Mask {
-            slices: map.slices,
-            owners: map.owners.clone(),
+            map: self.map.read().expect("map lock poisoned"),
             node: self.node,
         }
     }
 
     /// The shards a query on this node answers over: the ones inside
-    /// its owned slices, under a point-in-time ownership snapshot. Shard
-    /// `s` of the slice-aligned backend ([`ClusterConfig::aligned_shards`])
-    /// lies inside slice `s % slices`, the slice object id `s` falls in.
-    pub(crate) fn owned_shards(&self) -> impl Fn(usize) -> bool {
+    /// its owned slices, under one [`Mask`]. Shard `s` of the
+    /// slice-aligned backend ([`ClusterConfig::aligned_shards`]) lies
+    /// inside slice `s % slices`, the slice object id `s` falls in.
+    pub(crate) fn owned_shards(&self) -> impl Fn(usize) -> bool + '_ {
         let mask = self.mask();
         move |s| mask.owned(s as u32)
     }
@@ -174,11 +184,6 @@ impl ClusterState {
     pub(crate) fn owner_of_slice(&self, slice: u32) -> Option<u32> {
         let map = self.map.read().expect("map lock poisoned");
         map.owners.get(slice as usize).copied()
-    }
-
-    /// The `ERR moved <ver>` body for the current map version.
-    pub(crate) fn moved_msg(&self) -> String {
-        format!("moved {}", self.version())
     }
 
     /// Installs `new` if it is strictly newer and describes the same
@@ -205,8 +210,10 @@ impl ClusterState {
     }
 
     /// The migration flip: reassigns `slice` from this node to `target`
-    /// and bumps the version. From the moment this returns, writes for
-    /// the slice are refused with the *new* version.
+    /// and bumps the version. The write lock waits out every [`Mask`],
+    /// so when this returns every write admitted under the old map is
+    /// applied, and writes for the slice are refused with the *new*
+    /// version.
     pub(crate) fn flip_owner(&self, slice: u32, target: u32) -> Result<u64, String> {
         let mut map = self.map.write().expect("map lock poisoned");
         let Some(owner) = map.owners.get(slice as usize).copied() else {
@@ -251,6 +258,7 @@ impl ClusterState {
 mod tests {
     use super::*;
     use crate::backend::BackendKind;
+    use crate::{Client, ClientError, Server, ServerConfig};
     use sprofile::{SProfile, Tuple};
     use sprofile_concurrent::ShardedProfile;
 
@@ -319,8 +327,9 @@ mod tests {
         for x in 0..24u32 {
             assert_eq!(mask.owned(x), (x % 6) % 3 == 1, "object {x}");
         }
+        assert_eq!(mask.moved_msg(), "moved 1");
+        drop(mask);
         assert_eq!(cs.version(), 1);
-        assert!(cs.moved_msg().starts_with("moved 1"));
     }
 
     #[test]
@@ -474,6 +483,162 @@ mod tests {
             backends[0].median_in(states[0].owned_shards()),
             Some(sorted[(sorted.len() - 1) / 2])
         );
+    }
+
+    /// A memory-only cluster node at `addrs[node]` with the library's
+    /// default `flush_every`.
+    fn start_node(m: u32, slices: u32, node: u32, addrs: &[String]) -> Server {
+        Server::start(
+            ServerConfig {
+                m,
+                workers: 4,
+                cluster: Some(ClusterConfig {
+                    slices,
+                    node,
+                    nodes: addrs.to_vec(),
+                }),
+                ..ServerConfig::default()
+            },
+            addrs[node as usize].as_str(),
+        )
+        .expect("start cluster node")
+    }
+
+    /// `n` free loopback addresses (the listeners drop before the
+    /// servers bind — a tiny race, acceptable in tests).
+    fn reserve_addrs(n: usize) -> Vec<String> {
+        let listeners: Vec<std::net::TcpListener> = (0..n)
+            .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("reserve port"))
+            .collect();
+        listeners
+            .iter()
+            .map(|l| l.local_addr().expect("addr").to_string())
+            .collect()
+    }
+
+    /// An `ADOPT` body: each frequency as 8 little-endian bytes.
+    fn body(freqs: &[i64]) -> Vec<u8> {
+        freqs.iter().flat_map(|f| f.to_le_bytes()).collect()
+    }
+
+    /// `ADOPT` requests the node at `addr` has served.
+    fn adopts_served(addr: &str) -> u64 {
+        let mut c = Client::connect(addr).expect("connect");
+        let metrics = c.metrics().expect("metrics");
+        c.quit().expect("quit");
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix("sprofile_request_duration_us_count{verb=\"adopt\"} "))
+            .and_then(|n| n.parse().ok())
+            .expect("adopt count")
+    }
+
+    #[test]
+    fn adopt_refuses_a_bad_body_and_applies_each_delta_once() {
+        // One node owning all 4 slices of 32 objects, so FREQ reads every
+        // object. Slice 1 holds objects 1, 5, …, 29: a body of 8 × 8 bytes.
+        let addrs = reserve_addrs(1);
+        let server = start_node(32, 4, 0, &addrs);
+        let mut c = Client::connect(addrs[0].as_str()).expect("connect");
+        let freqs_of =
+            |c: &mut Client| -> Vec<i64> { (0..32).map(|x| c.freq(x).unwrap()).collect() };
+        let want = [3i64, -2, 0, 1, 0, 0, 5, -1];
+        let good = body(&want);
+        let refused = |c: &mut Client, slice: u32, bytes: &[u8]| match c.adopt(slice, 1, bytes) {
+            Err(ClientError::Server(_)) => {}
+            other => panic!("slice {slice}, {} bytes: {other:?}", bytes.len()),
+        };
+        for round in 0..2 {
+            let before = freqs_of(&mut c);
+            refused(&mut c, 1, &good[..63]);
+            refused(&mut c, 1, &[good.as_slice(), &[0; 8]].concat());
+            refused(&mut c, 1, &[]);
+            refused(&mut c, 4, &good);
+            // Slice 5 would alias slice 1's objects 5, …, 29 (7 × 8 bytes).
+            refused(&mut c, 5, &good[..56]);
+            assert_eq!(
+                freqs_of(&mut c),
+                before,
+                "round {round}: a refused ADOPT applied"
+            );
+            // The first adopt applies Σ|f| tuples; the same body again
+            // is an empty delta.
+            let applied = c.adopt(1, 1, &good).expect("adopt");
+            let total: u64 = want.iter().map(|f| f.unsigned_abs()).sum();
+            assert_eq!(applied, if round == 0 { total } else { 0 }, "round {round}");
+            let freqs = freqs_of(&mut c);
+            for x in 0..32u32 {
+                let expect = if x % 4 == 1 {
+                    want[(x / 4) as usize]
+                } else {
+                    0
+                };
+                assert_eq!(freqs[x as usize], expect, "object {x}");
+            }
+        }
+        // A different body moves each object by its difference only.
+        let next = [0i64, -2, 4, 1, 0, 0, 5, -1];
+        assert_eq!(c.adopt(1, 1, &body(&next)).expect("adopt"), 3 + 4);
+        assert_eq!((c.freq(1).unwrap(), c.freq(9).unwrap()), (0, 4));
+        // A slice past the universe end has no objects: its body is empty.
+        let addrs = reserve_addrs(1);
+        let small = start_node(3, 4, 0, &addrs);
+        let mut s = Client::connect(addrs[0].as_str()).expect("connect");
+        assert_eq!(s.adopt(3, 1, &[]).expect("empty slice"), 0);
+        refused(&mut s, 3, &body(&[1]));
+        s.quit().unwrap();
+        small.shutdown();
+        c.quit().unwrap();
+        server.shutdown();
+    }
+
+    #[test]
+    fn migrate_hands_over_every_write_acked_before_the_flip() {
+        // Slice 0 of 4 (objects 0, 4, 8, …) starts on node 0.
+        let addrs = reserve_addrs(2);
+        let nodes: Vec<Server> = (0..2).map(|i| start_node(4096, 4, i, &addrs)).collect();
+        // The admin connects first, while every worker is idle: a busy
+        // worker takes each new connection, so writers that land on
+        // another worker keep writing while the MIGRATE ships.
+        let mut src = Client::connect(addrs[0].as_str()).expect("admin");
+        let writers: Vec<_> = (0..4)
+            .map(|_| {
+                let addr = addrs[0].clone();
+                std::thread::spawn(move || {
+                    let mut c = Client::connect(addr.as_str()).expect("writer");
+                    let mut acked = 0i64;
+                    loop {
+                        match c.add(4) {
+                            Ok(()) => acked += 1,
+                            Err(ClientError::Server(msg)) => {
+                                assert_eq!(msg, "moved 2");
+                                break;
+                            }
+                            Err(e) => panic!("{e}"),
+                        }
+                    }
+                    c.quit().expect("quit");
+                    acked
+                })
+            })
+            .collect();
+        while src.freq(4).unwrap() < 200 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(src.migrate(0, 1).expect("migrate"), 2);
+        let acked: i64 = writers.into_iter().map(|w| w.join().expect("writer")).sum();
+        let mut dst = Client::connect(addrs[1].as_str()).expect("target");
+        assert_eq!(dst.freq(4).unwrap(), acked, "every acked ADD moved");
+        let adopts = adopts_served(&addrs[1]);
+        assert!((1..=2).contains(&adopts), "{adopts} ADOPTs");
+        // A quiet slice ships once.
+        assert_eq!(src.migrate(2, 1).expect("migrate"), 3);
+        assert_eq!(adopts_served(&addrs[1]), adopts + 1);
+        src.quit().unwrap();
+        dst.quit().unwrap();
+        for n in nodes {
+            n.shutdown();
+        }
     }
 
     #[test]

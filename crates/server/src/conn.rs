@@ -34,15 +34,13 @@
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sprofile::{SProfile, Tuple};
+use sprofile::Tuple;
 use sprofile_concurrent::ShardedProfile;
 use sprofile_obs::span::{Phase, Span};
 use sprofile_obs::{log, Level};
-use sprofile_persist::slice_snapshot_bytes;
 
 use crate::backend;
 use crate::bin_proto;
@@ -541,7 +539,8 @@ impl Conn {
             Request::Add(id) | Request::Remove(id) => {
                 writable(shared)?;
                 in_universe(shared, id)?;
-                owns_all(shared, [id])?;
+                // Held until the tuple is applied: see `owns_all`.
+                let _admitted = owns_all(shared, [id])?;
                 let is_add = matches!(req, Request::Add(_));
                 if is_add {
                     shared.metrics.ops_add.inc();
@@ -563,7 +562,7 @@ impl Conn {
                 if let Some(msg) = bad {
                     return Err(msg);
                 }
-                owns_all(shared, tuples.iter().map(|t| t.object))?;
+                let _admitted = owns_all(shared, tuples.iter().map(|t| t.object))?;
                 shared.metrics.ops_batch.inc();
                 shared.metrics.batch_tuples.add(count as u64);
                 self.pending.extend_from_slice(&tuples);
@@ -580,9 +579,9 @@ impl Conn {
             }
             Request::Freq(id) => {
                 in_universe(shared, id)?;
-                if let Some(cs) = &shared.cluster {
-                    if !cs.mask().owned(id) {
-                        return Err(cs.moved_msg());
+                if let Some(mask) = shared.cluster.as_ref().map(cluster::ClusterState::mask) {
+                    if !mask.owned(id) {
+                        return Err(mask.moved_msg());
                     }
                 }
                 self.begin_query(backend, shared);
@@ -662,22 +661,7 @@ impl Conn {
             Request::Promote => {
                 self.flush_now(backend, shared);
                 let replica = shared.repl.replica.as_ref().ok_or("not a replica")?;
-                // Stop pulling from the (possibly dead) primary, open a
-                // new generation, then open the write path. Idempotent:
-                // a second PROMOTE reports the same position and epoch
-                // (only the first one bumps).
-                let already = replica.promoted.load(Ordering::Acquire);
-                replica.stop_applier();
-                let epoch = match &shared.durability {
-                    Some(d) if already => d.epoch(),
-                    // A failed marker write (disk) refuses the promotion
-                    // rather than open a generation a restart would
-                    // forget.
-                    Some(d) => d.bump_epoch(replica.stats.epoch())?,
-                    None => replica.stats.epoch().max(1),
-                };
-                replica.promoted.store(true, Ordering::Release);
-                shared.readonly.store(false, Ordering::Release);
+                let epoch = replica.promote(shared, replica.stats.epoch())?;
                 let lsn = replica.stats.applied_lsn();
                 Response::Promoted { lsn, epoch }
             }
@@ -726,12 +710,13 @@ impl Conn {
             .map_err(|e| format!("snapshot validation failed: {e}"))
     }
 
-    /// The migration sink: turns a shipped key-filtered snapshot into a
-    /// per-object delta against the local state and applies it through
-    /// the normal write path — WAL-logged and auto-replicated to this
-    /// node's replicas, exactly like client writes. Idempotent: adopting
-    /// the same snapshot twice produces an empty second delta, which is
-    /// what lets the migration source re-ship until convergence.
+    /// The migration sink: the body holds the frequency of each object
+    /// of `slice` ([`slice_frequencies`]). Each object's difference from
+    /// the local state is applied through the normal write path —
+    /// WAL-logged and auto-replicated to this node's replicas, exactly
+    /// like client writes. A body of the wrong length is refused before
+    /// anything is applied. Idempotent: adopting the same body twice
+    /// applies an empty second delta.
     fn adopt(
         &mut self,
         slice: u32,
@@ -745,22 +730,20 @@ impl Conn {
         if slice >= slices {
             return Err(format!("slice {slice} out of range"));
         }
-        let shipped = SProfile::from_snapshot_bytes(body)
-            .map_err(|e| format!("ADOPT snapshot invalid: {e}"))?;
-        if shipped.num_objects() != shared.m {
+        let objects = (slice..shared.m).step_by(slices as usize);
+        if body.len() != 8 * objects.len() {
             return Err(format!(
-                "ADOPT universe mismatch: snapshot m={}, server m={}",
-                shipped.num_objects(),
-                shared.m
+                "ADOPT body of {} bytes; slice {slice} takes {}",
+                body.len(),
+                8 * objects.len()
             ));
         }
         // Flush local writes before diffing against the state.
         self.flush_now(backend, shared);
-        let current = backend.merged_frequencies();
         let mut delta: Vec<Tuple> = Vec::new();
-        for x in (slice..shared.m).step_by(slices.max(1) as usize) {
-            let have = current[x as usize];
-            let want = shipped.frequency(x);
+        for (x, want) in objects.zip(body.chunks_exact(8)) {
+            let want = i64::from_le_bytes(want.try_into().expect("8 bytes"));
+            let have = backend.frequency(x);
             let is_add = want > have;
             for _ in 0..want.abs_diff(have) {
                 delta.push(Tuple { object: x, is_add });
@@ -775,12 +758,12 @@ impl Conn {
 
     /// The migration source: ships `slice` to `target` (bulk `ADOPT`),
     /// flips the local map (new writes for the slice are refused with
-    /// the bumped version from that point), re-ships until the slice is
-    /// stable, and finally pushes the new map to the target. Runs
-    /// inline on the event-loop worker — an admin operation, not a data
-    /// path. Global queries racing the window between the flip and the
-    /// target's `MAPSET` may exclude the migrating slice; routers treat
-    /// `MIGRATE` as a barrier.
+    /// the bumped version from that point), ships again only if the
+    /// slice changed before the flip, and finally pushes the new map to
+    /// the target. Runs inline on the event-loop worker — an admin
+    /// operation, not a data path. Global queries racing the window
+    /// between the flip and the target's `MAPSET` may exclude the
+    /// migrating slice; routers treat `MIGRATE` as a barrier.
     fn migrate(
         &mut self,
         slice: u32,
@@ -828,27 +811,19 @@ impl Conn {
             );
         }
         // Bulk ship while still owning the slice (writes keep flowing).
-        let mut shipped = slice_snapshot_bytes(&backend.merged_frequencies(), slices, slice);
+        let shipped = slice_frequencies(backend, shared.m, slices, slice);
         client
             .adopt(slice, cs.version(), &shipped)
             .map_err(|e| format!("bulk ADOPT: {e}"))?;
-        // Flip: from here, writes for the slice get `ERR moved <v+1>`.
+        // Flip: it waits until every write admitted under the old map is
+        // applied, and from here writes for the slice get `ERR moved
+        // <v+1>`. So the slice is final, and one re-read sees all of it.
         let new_version = cs.flip_owner(slice, target)?;
-        // Catch-up: frames accepted before the flip may still land after
-        // the bulk read; re-ship (idempotent deltas) until stable. With
-        // `flush_every` 1 every acked tuple is visible by the time its
-        // OK went out, so a stable re-read means nothing acked is
-        // missing.
-        for _ in 0..100 {
-            let now = slice_snapshot_bytes(&backend.merged_frequencies(), slices, slice);
-            if now == shipped {
-                break;
-            }
+        let settled = slice_frequencies(backend, shared.m, slices, slice);
+        if settled != shipped {
             client
-                .adopt(slice, new_version, &now)
+                .adopt(slice, new_version, &settled)
                 .map_err(|e| format!("catch-up ADOPT: {e}"))?;
-            shipped = now;
-            std::thread::sleep(Duration::from_millis(2));
         }
         // Hand the flipped map to the new owner; everyone else learns
         // from `ERR moved` redirects.
@@ -887,21 +862,37 @@ fn in_universe(shared: &Shared, id: u32) -> Result<(), String> {
 /// The cluster ownership gate for writes: a frame touching any object
 /// this node does not own is refused whole with the typed
 /// `ERR moved <ver>` redirect — partially applying a frame would make
-/// retries non-idempotent.
-fn owns_all(shared: &Shared, objects: impl IntoIterator<Item = u32>) -> Result<(), String> {
-    if let Some(cs) = &shared.cluster {
-        let mask = cs.mask();
-        if !objects.into_iter().all(|x| mask.owned(x)) {
-            cs.moved_rejects.inc();
-            return Err(cs.moved_msg());
-        }
+/// retries non-idempotent. An admitted frame gets the [`cluster::Mask`]
+/// it was checked under. The caller holds it until the frame's tuples
+/// are applied (a cluster node flushes every write), so a `MIGRATE`
+/// flip waits for them.
+fn owns_all(
+    shared: &Shared,
+    objects: impl IntoIterator<Item = u32>,
+) -> Result<Option<cluster::Mask<'_>>, String> {
+    let Some(cs) = &shared.cluster else {
+        return Ok(None);
+    };
+    let mask = cs.mask();
+    if !objects.into_iter().all(|x| mask.owned(x)) {
+        cs.moved_rejects.inc();
+        return Err(mask.moved_msg());
     }
-    Ok(())
+    Ok(Some(mask))
+}
+
+/// The `ADOPT` body for `slice` of `slices`: the frequency of each
+/// object `slice, slice + slices, … < m`, 8 bytes little-endian each.
+fn slice_frequencies(backend: &ShardedProfile, m: u32, slices: u32, slice: u32) -> Vec<u8> {
+    (slice..m)
+        .step_by(slices as usize)
+        .flat_map(|x| backend.frequency(x).to_le_bytes())
+        .collect()
 }
 
 /// The shards a query answers over: all of them on a standalone server,
 /// the ones inside the owned slices on a cluster node.
-fn query_shards(shared: &Shared) -> impl Fn(usize) -> bool {
+fn query_shards(shared: &Shared) -> impl Fn(usize) -> bool + '_ {
     let owned = shared
         .cluster
         .as_ref()

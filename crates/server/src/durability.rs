@@ -329,7 +329,9 @@ impl Durability {
     /// bounding the crash-loss window of a quiescent server. Called by
     /// the housekeeping thread.
     pub(crate) fn idle_sync(&self) {
-        let (mut wal, _) = self.lock_wal();
+        // Untimed: this wait is no request's cost, and a sample every
+        // tick would move the lock-wait summary of an idle server.
+        let mut wal = self.wal.lock().expect("wal lock poisoned");
         if wal.sync_if_stale().is_err() {
             // A failed idle fsync fail-stops the log (the dirty pages'
             // fate is unknowable) — same contract as the append path.

@@ -176,23 +176,16 @@ fn run_election(ctx: &FailoverCtx) -> bool {
         return false;
     }
     let floor = reachable.iter().map(|p| p.epoch).fold(my_epoch, u64::max);
-    let replica = ctx.replica();
-    replica.stop_applier();
-    let epoch = match &ctx.shared.durability {
-        Some(d) => match d.bump_epoch(floor) {
-            Ok(e) => e,
-            Err(e) => {
-                // Cannot open a durable generation: stay a replica (the
-                // peers will elect around this node once it stops
-                // responding as a candidate).
-                eprintln!("sprofile failover: promotion aborted: {e}");
-                return false;
-            }
-        },
-        None => floor + 1,
+    let epoch = match ctx.replica().promote(&ctx.shared, floor) {
+        Ok(e) => e,
+        Err(e) => {
+            // Cannot open a durable generation: stay a replica (the
+            // peers will elect around this node once it stops
+            // responding as a candidate).
+            eprintln!("sprofile failover: promotion aborted: {e}");
+            return false;
+        }
     };
-    replica.promoted.store(true, Ordering::Release);
-    ctx.shared.readonly.store(false, Ordering::Release);
     log!(
         ctx.shared.obs,
         Level::Warn,

@@ -571,6 +571,38 @@ mod crate_tests {
     }
 
     #[test]
+    fn a_wal_less_promotion_reports_the_epoch_stats_reports() {
+        // Without a WAL no epoch is stored, so PROMOTE reports the one
+        // the replica followed (its primary never answered here), the
+        // epoch STATS reports.
+        let closed = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let primary = closed.local_addr().unwrap().to_string();
+        drop(closed);
+        let replica = Server::start(
+            ServerConfig {
+                m: 8,
+                workers: 1,
+                replica_of: Some(primary),
+                ..ServerConfig::default()
+            },
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let mut rc = Client::connect(replica.local_addr()).unwrap();
+        let (_, epoch) = rc.promote().unwrap();
+        let stats = rc.stats().unwrap();
+        assert_eq!(
+            Client::stats_field(&stats, "repl_epoch"),
+            Some(epoch),
+            "{stats}"
+        );
+        assert_eq!(rc.promote().unwrap().1, epoch, "idempotent");
+        rc.add(1).unwrap();
+        rc.quit().unwrap();
+        replica.shutdown();
+    }
+
+    #[test]
     fn loadgen_runs_against_a_live_server() {
         let server = start(BackendKind::Sharded { shards: 1 }, 256);
         let cfg = LoadgenConfig {

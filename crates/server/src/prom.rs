@@ -423,7 +423,7 @@ static FIELDS: &[Field] = &[
     Field {
         key: Some("wal_lock_wait_p99_us"),
         family: None,
-        help: "p99 wait for the WAL mutex across appends, idle syncs and checkpoints, microseconds.",
+        help: "p99 wait for the WAL mutex across appends and checkpoints, microseconds.",
         read: |r| r.wal().map(|w| Num(w.lock_wait_us().quantile(0.99))),
     },
     Field {

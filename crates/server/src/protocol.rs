@@ -50,8 +50,8 @@
 //! MAP                            MAP <ver> <slices> <nodes,> <owners,>
 //! MAPSET <ver> <slices> <n,> <o,>  OK <ver>   (install a strictly newer map)
 //! MIGRATE <slice> <target>       OK <ver>     (ship the slice, flip the map)
-//! ADOPT <slice> <ver> <nbytes>   OK <applied> (migration sink; nbytes of raw
-//!                                             snapshot body follow the line)
+//! ADOPT <slice> <ver> <nbytes>   OK <applied> (migration sink; nbytes of the
+//!                                             slice's frequencies follow)
 //! ```
 //!
 //! # Binary mode
@@ -139,13 +139,17 @@
 //! reproduces the single-profile answer exactly.
 //!
 //! `MIGRATE <slice> <target>` (sent to the slice's current owner) ships
-//! a key-filtered snapshot of the slice to node index `target` via
-//! `ADOPT`, flips the local map to `version + 1` (new writes for the
-//! slice now get `ERR moved`), re-ships until the slice has converged,
-//! and finally pushes the new map to the target with `MAPSET`. `ADOPT`
-//! carries `<nbytes>` of raw snapshot body immediately after the
-//! request line; the sink applies the per-object delta through its
-//! normal write path (durable, replicated) and answers `OK <applied>`.
+//! the slice's frequencies to node index `target` via `ADOPT`, flips
+//! the local map to `version + 1` (the flip waits for writes admitted
+//! under the old map; new writes for the slice get `ERR moved`), ships
+//! again only if the slice changed before the flip, and finally pushes
+//! the new map to the target with `MAPSET`. `ADOPT` carries `<nbytes>`
+//! of body immediately after the request line: for slice `s` of `S`,
+//! the frequency of each object `s, s + S, s + 2S, … < m` as 8
+//! little-endian bytes. The sink refuses a body of any other length,
+//! applies each object's difference from its own state through its
+//! normal write path (durable, replicated), and answers `OK <applied>`
+//! (the tuple count; adopting the same body again applies 0).
 //!
 //! # Observability verbs
 //!
@@ -199,8 +203,8 @@ use sprofile_persist::PartitionMap;
 pub const MAX_BATCH: usize = 1 << 20;
 
 /// Upper bound on an `ADOPT` body, so a hostile header cannot make the
-/// sink buffer unbounded memory. Generous: a full-universe snapshot at
-/// the largest supported `m` stays far below this.
+/// sink buffer unbounded memory. Generous: a slice's body is 8·m/S
+/// bytes, 8 MiB at m = 2^20 even with a single slice.
 pub const MAX_ADOPT_BYTES: usize = 1 << 28;
 
 /// Which wire encoding a connection (or a whole server/loadgen) speaks.
@@ -308,24 +312,25 @@ pub enum Request {
         target: u32,
     },
     /// `ADOPT <slice> <version> <nbytes>` — migration sink: `nbytes` of
-    /// raw snapshot body follow this line. The text decoder reads the
-    /// body and hands the server a [`Request::AdoptFrame`].
+    /// body (the slice's frequencies, 8 bytes each) follow this line.
+    /// The text decoder reads the body and hands the server a
+    /// [`Request::AdoptFrame`].
     Adopt {
         /// The hash slice being shipped.
         slice: u32,
         /// The sender's map version at ship time (diagnostic).
         version: u64,
-        /// Raw snapshot bytes that follow the request line.
+        /// Body bytes that follow the request line.
         nbytes: usize,
     },
-    /// A complete `ADOPT` frame: the shipped snapshot body for `slice`.
+    /// A complete `ADOPT` frame: the shipped body for `slice`.
     /// Never returned by [`parse_request`].
     AdoptFrame {
         /// The hash slice being shipped.
         slice: u32,
         /// The sender's map version at ship time (diagnostic).
         version: u64,
-        /// The raw snapshot bytes.
+        /// The slice's frequencies, 8 little-endian bytes per object.
         body: Vec<u8>,
     },
     /// `BIN` — switch this connection to the binary protocol.

@@ -12,6 +12,7 @@ use sprofile_replicate::{Applier, ApplierStats, ApplySink, ReplicationSource};
 
 use crate::backend;
 use crate::durability::Durability;
+use crate::server::Shared;
 
 /// A server's replication role, held in the shared state.
 pub(crate) struct ReplState {
@@ -38,6 +39,27 @@ impl ReplicaState {
         if let Some(applier) = self.applier.lock().expect("applier lock poisoned").take() {
             applier.stop();
         }
+    }
+
+    /// Promotes this replica (`PROMOTE` and a won election): stops
+    /// pulling from the (possibly dead) primary, durably opens a
+    /// generation past `floor`, then opens the write path. Returns the
+    /// epoch `STATS` reports from then on. Idempotent: a second call
+    /// bumps nothing and returns the same epoch. A failed epoch write
+    /// refuses the promotion, leaving the node a read-only replica,
+    /// rather than open a generation a restart would forget. A node
+    /// without a WAL stores no epoch, so it reports the one it followed.
+    pub fn promote(&self, shared: &Shared, floor: u64) -> Result<u64, String> {
+        let already = self.promoted.load(Ordering::Acquire);
+        self.stop_applier();
+        let epoch = match &shared.durability {
+            Some(d) if already => d.epoch(),
+            Some(d) => d.bump_epoch(floor)?,
+            None => self.stats.epoch(),
+        };
+        self.promoted.store(true, Ordering::Release);
+        shared.readonly.store(false, Ordering::Release);
+        Ok(epoch)
     }
 }
 

@@ -164,7 +164,10 @@ pub struct ServerConfig {
     /// Connections served concurrently across all workers before new
     /// ones are shed with `ERR overloaded` (and counted in `shed`).
     pub max_conns: usize,
-    /// Per-connection write-buffer flush threshold, in tuples.
+    /// Per-connection write-buffer flush threshold, in tuples. Ignored
+    /// (threshold 1) under [`ServerConfig::sync_commit`] and on a
+    /// [`ServerConfig::cluster`] node, which apply every write before
+    /// its `OK`.
     pub flush_every: usize,
     /// Directory `SNAPSHOT <path>` writes are confined to. Clients may
     /// only name **relative** paths without `..`, resolved against this
@@ -204,9 +207,9 @@ pub struct ServerConfig {
     /// [`ServerConfig::wal`] is set), refuses writes for non-owned
     /// objects with `ERR moved <ver>`, masks global queries to its
     /// owned objects, and serves the `MAP`/`MAPSET`/`MIGRATE`/`ADOPT`
-    /// verbs. Cluster exactness relies on per-write durability ordering,
-    /// so pair it with `flush_every: 1` when acked-write loss across a
-    /// migration matters.
+    /// verbs. A node applies every write before its `OK`
+    /// ([`ServerConfig::flush_every`] is ignored), so a `MIGRATE` hands
+    /// the new owner every acknowledged write.
     pub cluster: Option<ClusterConfig>,
     /// Observability: structured-log level/format/sink and ring-buffer
     /// retention. The default records `info`-level events into the ring
@@ -483,9 +486,10 @@ impl Server {
             shards: backend.num_shards(),
             max_conns: config.max_conns.max(1) as u64,
             // Sync commit acknowledges nothing it has not replicated,
-            // so the reply to each write request must sit behind its
-            // own flush: threshold 1.
-            flush_every: if config.sync_commit.is_on() {
+            // and a cluster node's map flip waits only for applied
+            // writes, so under either the reply to each write request
+            // must sit behind its own flush: threshold 1.
+            flush_every: if config.sync_commit.is_on() || config.cluster.is_some() {
                 1
             } else {
                 config.flush_every.max(1)
@@ -626,6 +630,12 @@ impl Server {
     /// clamped to the universe size.
     pub fn shards(&self) -> usize {
         self.backend.num_shards()
+    }
+
+    /// The effective write-buffer flush threshold: 1 on a cluster node
+    /// and under synchronous commit, else [`ServerConfig::flush_every`].
+    pub fn flush_every(&self) -> usize {
+        self.shared.flush_every
     }
 
     /// The server's metrics (live view).
