@@ -7,10 +7,7 @@ use std::path::Path;
 
 use sprofile::{SProfile, SnapshotError, Tuple};
 use sprofile_persist::PersistError;
-use sprofile_server::{
-    loadgen::thread_tuples, BackendKind, Client, ClusterConfig, DurabilityConfig, FailoverConfig,
-    Level, LoadgenConfig, LogFormat, LogSink, ObsConfig, Server, ServerConfig, SyncCommit,
-};
+use sprofile_server::{loadgen::thread_tuples, Client, LoadgenConfig, Server, ServerConfig};
 use sprofile_streamgen::{Event, StreamConfig};
 
 use crate::textio::{read_events, write_events, ParseError};
@@ -401,123 +398,33 @@ pub fn heavy_hitters<R: BufRead, W: Write>(
     Ok(())
 }
 
-/// Options for `serve`.
-#[derive(Clone, Debug)]
-pub struct ServeOpts {
-    /// Listen address, e.g. `127.0.0.1:7979` (`:0` for ephemeral).
-    pub addr: String,
-    /// Universe size.
-    pub m: u32,
-    /// Shard count of the profile behind the socket (`--shards`); a
-    /// cluster node rounds it up to a multiple of `--cluster-slices`.
-    pub backend: BackendKind,
-    /// Event-loop worker threads (`--workers`).
-    pub workers: usize,
-    /// Concurrent-connection cap before shedding (`--max-conns`).
-    pub max_conns: usize,
-    /// Per-connection write-buffer flush threshold.
-    pub flush: usize,
-    /// Directory wire `SNAPSHOT` writes are confined to.
-    pub snapshot_dir: String,
-    /// Durability: `--wal DIR` (plus sync/segment/checkpoint knobs).
-    pub wal: Option<DurabilityConfig>,
-    /// Replica mode: follow this primary (`--replica-of HOST:PORT`),
-    /// serving reads only until promoted.
-    pub replica_of: Option<String>,
-    /// Synchronous commit: acknowledge writes only after this many
-    /// replicas confirmed them (`--sync-commit off|quorum|all`).
-    pub sync_commit: SyncCommit,
-    /// How long a synchronous commit waits before degrading to async
-    /// (`--sync-commit-timeout-ms`).
-    pub sync_commit_timeout_ms: u64,
-    /// Automatic failover: the peer replicas to hold elections with
-    /// (`--auto-failover PEER,PEER`). Replica mode only.
-    pub failover_peers: Option<Vec<String>>,
-    /// Primary liveness sampling cadence for the promoter
-    /// (`--heartbeat-ms`).
-    pub heartbeat_ms: u64,
-    /// Consecutive silent heartbeat samples before the primary is
-    /// suspected dead (`--failover-grace`).
-    pub failover_grace: u32,
-    /// Cluster membership: this node's hash-partition identity
-    /// (`--cluster-slices`/`--cluster-node`/`--cluster-nodes`).
-    pub cluster: Option<ClusterConfig>,
-    /// Structured-log severity (`--log-level`); `None` turns emission
-    /// off entirely (the ring and `LOGTAIL` then stay empty too).
-    pub log_level: Option<Level>,
-    /// Rendered log-line format (`--log-format logfmt|json`).
-    pub log_format: LogFormat,
-    /// Log lines go to this file instead of stderr (`--log-file`).
-    pub log_file: Option<String>,
-    /// Slow-op threshold (`--slow-ms`); `None` disables the check.
-    pub slow_ms: Option<u64>,
-    /// Plain-HTTP `GET /metrics` listener address (`--metrics-addr`).
-    pub metrics_addr: Option<String>,
-}
-
-/// `serve`: run the TCP server until a client sends `SHUTDOWN`. The
-/// listening line (with the resolved address) is flushed to `out` before
-/// blocking, so callers scripting against `:0` can scrape the port.
-pub fn serve<W: Write>(opts: &ServeOpts, out: &mut W) -> Result<(), CommandError> {
-    let failover = opts.failover_peers.clone().map(|peers| {
-        let mut f = FailoverConfig::new(peers);
-        f.heartbeat = std::time::Duration::from_millis(opts.heartbeat_ms.max(1));
-        f.grace = opts.failover_grace.max(1);
-        f
-    });
-    let obs = ObsConfig {
-        level: opts.log_level,
-        format: opts.log_format,
-        // The CLI default is stderr lines (an embedded server defaults
-        // to ring-only); a crashing `serve` also dumps its ring there.
-        sink: match &opts.log_file {
-            Some(path) => LogSink::File(path.clone().into()),
-            None => LogSink::Stderr,
-        },
-        dump_on_panic: true,
-        ..ObsConfig::default()
-    };
-    let server = Server::start(
-        ServerConfig {
-            m: opts.m,
-            backend: opts.backend,
-            workers: opts.workers,
-            max_conns: opts.max_conns,
-            flush_every: opts.flush,
-            snapshot_dir: opts.snapshot_dir.clone().into(),
-            wal: opts.wal.clone(),
-            replica_of: opts.replica_of.clone(),
-            sync_commit: opts.sync_commit,
-            sync_commit_timeout: std::time::Duration::from_millis(opts.sync_commit_timeout_ms),
-            failover,
-            cluster: opts.cluster.clone(),
-            obs,
-            slow_ms: opts.slow_ms,
-            metrics_addr: opts.metrics_addr.clone(),
-        },
-        opts.addr.as_str(),
-    )?;
+/// `serve`: run the TCP server on `addr` until a client sends
+/// `SHUTDOWN`. The listening line (with the resolved address) is flushed
+/// to `out` before blocking, so callers scripting against `:0` can
+/// scrape the port.
+pub fn serve<W: Write>(addr: &str, config: ServerConfig, out: &mut W) -> Result<(), CommandError> {
+    let server = Server::start(config.clone(), addr)?;
     // The effective counts: a cluster node aligns its shards to its
     // slices, and it and a sync-commit primary flush every write.
     let shards = server.shards();
-    let wal = match &opts.wal {
+    let wal = match &config.wal {
         Some(w) => format!(" wal={} sync={}", w.dir.display(), w.sync.name()),
         None => String::new(),
     };
-    let role = match &opts.replica_of {
+    let role = match &config.replica_of {
         Some(primary) => format!(" replica-of={primary} (readonly until PROMOTE)"),
         None => String::new(),
     };
-    let sync = if opts.sync_commit.is_on() {
-        format!(" sync-commit={}", opts.sync_commit.name())
+    let sync = if config.sync_commit.is_on() {
+        format!(" sync-commit={}", config.sync_commit.name())
     } else {
         String::new()
     };
-    let elect = match &opts.failover_peers {
-        Some(peers) => format!(" auto-failover={}", peers.join(",")),
+    let elect = match &config.failover {
+        Some(f) => format!(" auto-failover={}", f.peers.join(",")),
         None => String::new(),
     };
-    let cluster = match &opts.cluster {
+    let cluster = match &config.cluster {
         Some(c) => format!(
             " cluster=node {}/{} slices={}",
             c.node,
@@ -526,11 +433,11 @@ pub fn serve<W: Write>(opts: &ServeOpts, out: &mut W) -> Result<(), CommandError
         ),
         None => String::new(),
     };
-    let log = match opts.log_level {
-        Some(l) => format!(" log={}/{}", l.name(), opts.log_format.name()),
+    let log = match config.obs.level {
+        Some(l) => format!(" log={}/{}", l.name(), config.obs.format.name()),
         None => " log=off".to_string(),
     };
-    let metrics = match &opts.metrics_addr {
+    let metrics = match &config.metrics_addr {
         Some(addr) => format!(" metrics=http://{addr}/metrics"),
         None => String::new(),
     };
@@ -539,9 +446,9 @@ pub fn serve<W: Write>(opts: &ServeOpts, out: &mut W) -> Result<(), CommandError
         "listening on {} backend=sharded({shards}) m={} workers={} max-conns={} \
          flush={}{wal}{role}{sync}{elect}{cluster}{log}{metrics}",
         server.local_addr(),
-        opts.m,
-        opts.workers,
-        opts.max_conns,
+        config.m,
+        config.workers,
+        config.max_conns,
         server.flush_every()
     )?;
     out.flush()?;
@@ -1140,7 +1047,7 @@ pub fn watch<R: BufRead, W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sprofile_server::WireProto;
+    use sprofile_server::{BackendKind, ClusterConfig, DurabilityConfig, ObsConfig, WireProto};
     use std::io::Cursor;
 
     #[test]
@@ -1574,33 +1481,24 @@ sprofile_uptime_seconds 3\n";
         }
 
         let buf = SharedBuf::default();
-        let opts = ServeOpts {
-            addr: "127.0.0.1:0".into(),
+        let config = ServerConfig {
             m: 64,
             backend,
             workers: 2,
             max_conns: 64,
-            flush: 16,
-            snapshot_dir: ".".into(),
-            wal: None,
-            replica_of: None,
-            sync_commit: SyncCommit::Off,
-            sync_commit_timeout_ms: 1_000,
-            failover_peers: None,
-            heartbeat_ms: 500,
-            failover_grace: 4,
+            flush_every: 16,
             cluster,
-            // `serve` sinks log lines to stderr by default; keep the
-            // test run quiet by turning emission off.
-            log_level: None,
-            log_format: LogFormat::Logfmt,
-            log_file: None,
-            slow_ms: None,
-            metrics_addr: None,
+            // `serve`'s callers sink log lines to stderr; keep the test
+            // run quiet by turning emission off.
+            obs: ObsConfig {
+                level: None,
+                ..ObsConfig::default()
+            },
+            ..ServerConfig::default()
         };
         let handle = {
             let mut out = buf.clone();
-            std::thread::spawn(move || serve(&opts, &mut out))
+            std::thread::spawn(move || serve("127.0.0.1:0", config, &mut out))
         };
         // Scrape the resolved address off the listening line.
         let addr = loop {

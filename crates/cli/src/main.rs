@@ -16,6 +16,7 @@ use std::collections::HashSet;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::process::ExitCode;
+use std::time::Duration;
 
 mod commands;
 mod textio;
@@ -24,11 +25,11 @@ use commands::{
     checkpoint_compact, generate, heavy_hitters, ingest, loadgen, logtail_show, map_show,
     metrics_show, migrate, profile_persist, promote, recover_report, serve, spans_show, stats_show,
     stats_watch, top_watch, verify_server, wal_dump, watch, GenerateOpts, HhOpts, PersistOpts,
-    ProfileOpts, ServeOpts, StreamChoice,
+    ProfileOpts, StreamChoice,
 };
 use sprofile_server::{
-    BackendKind, ClusterConfig, DurabilityConfig, Level, LoadgenConfig, LogFormat, SyncCommit,
-    SyncPolicy, WireProto,
+    BackendKind, ClusterConfig, DurabilityConfig, FailoverConfig, Level, LoadgenConfig, LogFormat,
+    LogSink, ObsConfig, ServerConfig, SyncCommit, SyncPolicy, WireProto,
 };
 
 fn usage() -> &'static str {
@@ -383,33 +384,52 @@ fn run(raw: &[String]) -> Result<(), String> {
             } else {
                 None
             };
-            let opts = ServeOpts {
-                addr: args.get("addr").unwrap_or("127.0.0.1:7979").to_string(),
+            let addr = args.get("addr").unwrap_or("127.0.0.1:7979");
+            let config = ServerConfig {
                 m: args.get_parsed_positive("m", 1_048_576u32)?,
                 backend: BackendKind::Sharded { shards },
                 workers: args.get_parsed_positive("workers", 4usize)?,
                 max_conns: args.get_parsed_positive("max-conns", 1024usize)?,
-                flush: args.get_parsed_positive("flush", 256usize)?,
-                snapshot_dir: args.get("snapshot-dir").unwrap_or(".").to_string(),
+                flush_every: args.get_parsed_positive("flush", 256usize)?,
+                snapshot_dir: args.get("snapshot-dir").unwrap_or(".").into(),
                 wal,
                 replica_of,
                 sync_commit,
-                sync_commit_timeout_ms: args
-                    .get_parsed_positive("sync-commit-timeout-ms", 1_000u64)?,
-                failover_peers,
-                heartbeat_ms: args.get_parsed_positive("heartbeat-ms", 500u64)?,
-                failover_grace: args.get_parsed_positive("failover-grace", 4u32)?,
+                sync_commit_timeout: Duration::from_millis(
+                    args.get_parsed_positive("sync-commit-timeout-ms", 1_000u64)?,
+                ),
+                failover: {
+                    // A bad value is an error with or without
+                    // --auto-failover.
+                    let heartbeat_ms = args.get_parsed_positive("heartbeat-ms", 500u64)?;
+                    let grace = args.get_parsed_positive("failover-grace", 4u32)?;
+                    failover_peers.map(|peers| FailoverConfig {
+                        peers,
+                        heartbeat: Duration::from_millis(heartbeat_ms),
+                        grace,
+                    })
+                },
                 cluster,
-                log_level,
-                log_format,
-                log_file: args.get("log-file").map(str::to_string),
+                obs: ObsConfig {
+                    level: log_level,
+                    format: log_format,
+                    // The CLI default is stderr lines (an embedded server
+                    // defaults to ring-only); a crashing `serve` also
+                    // dumps its ring there.
+                    sink: match args.get("log-file") {
+                        Some(path) => LogSink::File(path.into()),
+                        None => LogSink::Stderr,
+                    },
+                    dump_on_panic: true,
+                    ..ObsConfig::default()
+                },
                 slow_ms,
                 metrics_addr: args.get("metrics-addr").map(str::to_string),
             };
             args.reject_unused(&cmd)?;
             let stdout = io::stdout();
             let mut out = stdout.lock();
-            serve(&opts, &mut out).map_err(|e| e.to_string())?;
+            serve(addr, config, &mut out).map_err(|e| e.to_string())?;
             out.flush().map_err(|e| e.to_string())?;
             Ok(())
         }

@@ -1,8 +1,8 @@
 //! Per-connection non-blocking state machine: one request core behind
 //! two wire codecs.
 //!
-//! An event-loop worker owns many [`Conn`]s. Each tick it `fill`s the
-//! read buffer from the socket (bounded per tick for fairness),
+//! An event-loop worker owns many [`Conn`]s. Each sweep it `fill`s the
+//! read buffer from the socket (bounded per sweep for fairness),
 //! `process`es as many complete frames as the buffer holds, and
 //! flushes the write buffer back out. Every frame, text or binary,
 //! runs through the same steps:
@@ -22,9 +22,9 @@
 //!    execute and encode together as `apply`.
 //!
 //! Replies accumulate in the write buffer; when a slow reader lets it
-//! grow past [`WBUF_PAUSE`], the parser pauses (and the worker drops
-//! read interest) until the backlog drains — per-connection
-//! backpressure instead of unbounded memory.
+//! grow past [`WBUF_PAUSE`], the parser pauses (and the worker stops
+//! reading) until the backlog drains — per-connection backpressure
+//! instead of unbounded memory.
 //!
 //! Acked tuples always reach the backend (the worker drains `pending`
 //! however the connection ends), a `BATCH` cut off mid-body is dropped
@@ -52,11 +52,11 @@ use crate::server::{flush_pending, resolve_snapshot_path, Shared};
 
 /// Pause parsing when the un-flushed write buffer exceeds this.
 pub(crate) const WBUF_PAUSE: usize = 1 << 20;
-/// Read at most this much per tick, so one firehose connection cannot
+/// Read at most this much per sweep, so one firehose connection cannot
 /// starve its siblings on the same worker.
-const READ_BUDGET: usize = 256 * 1024;
-/// One socket read's size.
-const READ_CHUNK: usize = 16 * 1024;
+pub(crate) const READ_BUDGET: usize = 256 * 1024;
+/// One socket read's size: the worker's scratch buffer.
+pub(crate) const READ_CHUNK: usize = 16 * 1024;
 /// A frame (text line, or binary frame header + payload) that still
 /// isn't complete past this much buffered input is hostile — the
 /// protocol's own `MAX_BATCH` cap keeps every legitimate frame far
@@ -67,7 +67,7 @@ const MAX_FRAME_BYTES: usize = 8 << 20;
 const WAL_FAILED: &str = "wal failed; writes refused (fail over or restart)";
 
 /// Saturating whole microseconds in `d`.
-fn micros(d: Duration) -> u64 {
+pub(crate) fn micros(d: Duration) -> u64 {
     d.as_micros().min(u64::MAX as u128) as u64
 }
 
@@ -191,39 +191,23 @@ impl Conn {
         self.wbuf.len() - self.wpos > WBUF_PAUSE
     }
 
-    /// Input side finished; close once the write buffer drains.
-    pub(crate) fn finished(&self) -> bool {
-        self.done
-    }
-
-    /// Whether this connection has work to do even without a fresh
-    /// readiness event (buffered replies, unparsed input, or a close
-    /// waiting on the write buffer).
-    pub(crate) fn wants_step(&self) -> bool {
-        self.wants_write() || self.done || self.rpos < self.rbuf.len()
-    }
-
-    /// Reads whatever the socket has, up to the per-tick budget.
-    /// Returns whether the budget was exhausted (the fairness throttle
-    /// engaged — the worker counts those ticks). Transport errors mark
-    /// EOF and propagate — the caller closes, and the worker drains
-    /// `pending` (those tuples were already acked).
-    pub(crate) fn fill(&mut self) -> io::Result<bool> {
+    /// Reads whatever the socket has, up to the per-sweep budget, through
+    /// the worker's `scratch` buffer; a read that would block ends it.
+    /// Returns the bytes read (the worker counts the sweeps that reach
+    /// [`READ_BUDGET`]). Transport errors mark EOF and propagate — the
+    /// caller closes, and the worker drains `pending` (those tuples were
+    /// already acked).
+    pub(crate) fn fill(&mut self, scratch: &mut [u8]) -> io::Result<usize> {
         let mut total = 0usize;
         while !self.eof && total < READ_BUDGET {
             // Don't buffer unboundedly ahead of the parser.
             if self.rbuf.len() - self.rpos > MAX_FRAME_BYTES {
                 break;
             }
-            let old = self.rbuf.len();
-            self.rbuf.resize(old + READ_CHUNK, 0);
-            match self.stream.read(&mut self.rbuf[old..]) {
-                Ok(0) => {
-                    self.rbuf.truncate(old);
-                    self.eof = true;
-                }
+            match self.stream.read(scratch) {
+                Ok(0) => self.eof = true,
                 Ok(n) => {
-                    self.rbuf.truncate(old + n);
+                    self.rbuf.extend_from_slice(&scratch[..n]);
                     total += n;
                     // The queue clock starts when input lands, so the
                     // next request's span sees its pre-parse wait.
@@ -235,28 +219,29 @@ impl Conn {
                         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                     ) =>
                 {
-                    self.rbuf.truncate(old);
                     break;
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                    self.rbuf.truncate(old);
-                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => {
-                    self.rbuf.truncate(old);
                     self.eof = true;
                     return Err(e);
                 }
             }
         }
-        Ok(total >= READ_BUDGET)
+        Ok(total)
     }
 
-    /// Writes buffered replies until the socket would block.
-    pub(crate) fn flush_socket(&mut self) -> io::Result<()> {
+    /// Writes buffered replies until the socket would block. Returns the
+    /// bytes written.
+    pub(crate) fn flush_socket(&mut self) -> io::Result<usize> {
+        let mut written = 0;
         while self.wpos < self.wbuf.len() {
             match self.stream.write(&self.wbuf[self.wpos..]) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.wpos += n,
+                Ok(n) => {
+                    self.wpos += n;
+                    written += n;
+                }
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -276,7 +261,7 @@ impl Conn {
             self.wbuf.drain(..self.wpos);
             self.wpos = 0;
         }
-        Ok(())
+        Ok(written)
     }
 
     /// Best-effort synchronous flush of the remaining reply bytes, used

@@ -214,7 +214,7 @@ fn repoint(ctx: &FailoverCtx, head: &str) {
         ctx.shared.durability.clone(),
         ctx.m,
     )
-    .with_obs(Arc::clone(&ctx.shared.obs));
+    .reporting_to(Arc::clone(&ctx.shared.obs), Arc::clone(&ctx.shared.metrics));
     let applier = Applier::spawn(
         ApplierOptions::new(head.to_string()),
         Box::new(sink),

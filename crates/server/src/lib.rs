@@ -9,11 +9,11 @@
 //! update has been applied when its call returns, so every read sees
 //! every write flushed before it.
 //!
-//! Everything is std-only (the offline build has no async runtime): a
-//! **readiness-driven event loop** of a few worker threads multiplexes
-//! non-blocking connection state machines over the `polling` shim,
-//! sheds connections past `--max-conns` with a typed `ERR overloaded`,
-//! **per-connection write batching** turns single `ADD`/`RM` requests
+//! Everything is std-only (the offline build has no async runtime): an
+//! **event loop** of a few worker threads, each sweeping the
+//! non-blocking connection state machines it owns (a read that would
+//! block means "not ready"), sheds connections past `--max-conns` with a
+//! typed `ERR overloaded`, **per-connection write batching** turns single `ADD`/`RM` requests
 //! into large `apply_batch` calls, and **graceful shutdown** drains
 //! every buffered batch into the profile before the server stops. Clients
 //! start in the newline-delimited text protocol and may upgrade to the
@@ -567,6 +567,56 @@ mod crate_tests {
         rc.quit().unwrap();
         primary.shutdown();
         replica.shutdown();
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn a_replica_counts_the_tuples_it_applies() {
+        // Replicated tuples count in `applied` and in `Server::wait`'s
+        // total, through a local WAL and without one.
+        let base = std::env::temp_dir().join(format!(
+            "sprofile-server-repl-applied-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&base);
+        let primary = Server::start(
+            ServerConfig {
+                m: 32,
+                workers: 2,
+                wal: Some(DurabilityConfig::new(base.join("primary"))),
+                ..ServerConfig::default()
+            },
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let mut pc = Client::connect(primary.local_addr()).unwrap();
+        pc.batch(&[Tuple::add(3), Tuple::add(3), Tuple::remove(5)])
+            .unwrap();
+        pc.add(7).unwrap();
+        pc.freq(7).unwrap(); // read barrier: all 4 tuples logged
+        for wal in [Some(DurabilityConfig::new(base.join("replica"))), None] {
+            let replica = Server::start(
+                ServerConfig {
+                    m: 32,
+                    workers: 2,
+                    wal,
+                    replica_of: Some(primary.local_addr().to_string()),
+                    ..ServerConfig::default()
+                },
+                "127.0.0.1:0",
+            )
+            .unwrap();
+            let mut rc = Client::connect(replica.local_addr()).unwrap();
+            wait_for("replica applied count", || {
+                let stats = rc.stats().unwrap();
+                Client::stats_field(&stats, "applied") == Some(4)
+            });
+            assert_eq!(rc.freq(7).unwrap(), 1);
+            rc.quit().unwrap();
+            assert_eq!(replica.shutdown(), 4);
+        }
+        pc.quit().unwrap();
+        primary.shutdown();
         std::fs::remove_dir_all(&base).ok();
     }
 

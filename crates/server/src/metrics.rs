@@ -1,5 +1,5 @@
 //! Server-wide metrics storage: lock-free `AtomicU64` counters plus the
-//! per-verb, per-phase and per-tick histograms. The field table in
+//! per-verb, per-phase and event-loop histograms. The field table in
 //! `prom` reads them for both `STATS` and `METRICS`; nothing here
 //! renders.
 
@@ -86,8 +86,9 @@ pub struct Metrics {
     pub ops_batch: Counter,
     /// Tuples received inside successful `BATCH` frames.
     pub batch_tuples: Counter,
-    /// Tuples actually handed to the backend (adds + removes + batch
-    /// tuples, after write-buffer flushes).
+    /// Tuples actually applied to the backend: adds, removes and batch
+    /// tuples after write-buffer flushes, and on a replica the tuples of
+    /// every shipped record (a bootstrap installs a state and adds none).
     pub applied: Counter,
     /// Write-buffer flushes performed.
     pub flushes: Counter,
@@ -294,20 +295,21 @@ impl PhaseHists {
     }
 }
 
-/// Per-event-loop instrumentation, aggregated across workers: how long
-/// the poller slept per tick, how many connections each tick serviced,
-/// and how often a connection exhausted its per-tick read budget (a
-/// fairness signal: sustained exhaustion means one connection's input
-/// keeps outpacing the budget).
+/// Event-loop instrumentation, aggregated across workers: how long each
+/// wait window idled before a sweep moved bytes, how many connections
+/// moved bytes in that sweep, and how often a connection exhausted its
+/// per-sweep read budget (a fairness signal: sustained exhaustion means
+/// one connection's input keeps outpacing the budget).
 #[derive(Debug, Default)]
 pub struct TickHists {
-    /// Poller wait per event-loop tick, in microseconds.
+    /// Idle stretch of each wait window, in microseconds: up to the
+    /// start of the first sweep that moved bytes, or the window's cap.
     pub poll_wait_us: AtomicLogHistogram,
-    /// Connections serviced per tick (recorded only for non-idle
-    /// ticks, so an idle server does not drown the distribution in
-    /// zeros).
+    /// Connections that moved bytes per sweep (recorded only for sweeps
+    /// that moved any, so an idle server does not drown the
+    /// distribution in zeros).
     pub conns_per_tick: AtomicLogHistogram,
-    /// Ticks on which a connection hit its per-tick read budget.
+    /// Sweeps on which a connection hit its per-sweep read budget.
     pub read_budget_exhausted: Counter,
 }
 

@@ -249,7 +249,7 @@ static FIELDS: &[Field] = &[
     Field {
         key: Some("applied"),
         family: Some("sprofile_applied_total"),
-        help: "Tuples handed to the backend after write-buffer flushes.",
+        help: "Tuples applied to the backend: flushed client writes, plus each record a replica applies (a bootstrap installs a state and counts none).",
         read: |r| Some(Num(r.shared.metrics.applied.get())),
     },
     Field {
@@ -309,19 +309,19 @@ static FIELDS: &[Field] = &[
     Field {
         key: None,
         family: Some("sprofile_tick_poll_wait_us"),
-        help: "Poller wait per event-loop tick, microseconds (all workers).",
+        help: "Idle wait before an event-loop sweep that moved bytes, capped at 1 ms (5 ms without connections), microseconds (all workers).",
         read: |r| Some(Hist(&r.shared.ticks.poll_wait_us)),
     },
     Field {
         key: None,
         family: Some("sprofile_conns_per_tick"),
-        help: "Connections serviced per non-idle event-loop tick.",
+        help: "Connections that moved bytes per event-loop sweep that moved any (all workers).",
         read: |r| Some(Hist(&r.shared.ticks.conns_per_tick)),
     },
     Field {
         key: None,
         family: Some("sprofile_read_budget_exhausted_total"),
-        help: "Ticks on which a connection exhausted its per-tick read budget.",
+        help: "Sweeps on which a connection exhausted its per-sweep read budget.",
         read: |r| Some(Num(r.shared.ticks.read_budget_exhausted.get())),
     },
     Field {

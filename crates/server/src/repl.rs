@@ -12,6 +12,7 @@ use sprofile_replicate::{Applier, ApplierStats, ApplySink, ReplicationSource};
 
 use crate::backend;
 use crate::durability::Durability;
+use crate::metrics::Metrics;
 use crate::server::Shared;
 
 /// A server's replication role, held in the shared state.
@@ -171,6 +172,9 @@ pub(crate) struct BackendSink {
     /// in its event ring, correlating a traced primary write with every
     /// replica that applied it.
     obs: Arc<Obs>,
+    /// The replica's counters: each applied record's tuples count in
+    /// `applied`, as a client write's do on a primary.
+    metrics: Arc<Metrics>,
 }
 
 impl BackendSink {
@@ -188,13 +192,16 @@ impl BackendSink {
             next,
             epoch,
             obs: Obs::disabled(),
+            metrics: Arc::default(),
         }
     }
 
-    /// Attaches the server's observability handle (the default is a
-    /// disabled stand-in, which keeps unit tests quiet).
-    pub fn with_obs(mut self, obs: Arc<Obs>) -> BackendSink {
+    /// Attaches the server's observability handle and counters (the
+    /// defaults are a disabled stand-in and a private counter set, which
+    /// keep unit tests quiet).
+    pub fn reporting_to(mut self, obs: Arc<Obs>, metrics: Arc<Metrics>) -> BackendSink {
         self.obs = obs;
+        self.metrics = metrics;
         self
     }
 
@@ -269,6 +276,7 @@ impl ApplySink for BackendSink {
                 self.backend.apply_batch(tuples);
             }
         }
+        self.metrics.applied.add(tuples.len() as u64);
         self.next = lsn + 1;
         Ok(())
     }

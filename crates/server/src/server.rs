@@ -1,19 +1,19 @@
-//! The TCP server: a readiness-driven event loop over one shared
-//! [`ShardedProfile`].
+//! The TCP server: an event loop over one shared [`ShardedProfile`].
 //!
 //! Design notes:
 //!
-//! * **No async runtime, no FFI.** The offline dependency set has no
-//!   tokio and the workspace forbids `unsafe`; the reactor is the
-//!   `polling` shim (`shims/polling`) — level-triggered readiness over
-//!   non-blocking `peek` probes with a condvar-backed `notify` for
-//!   wakeups. Each of the `workers` event-loop threads owns a
-//!   [`polling::Poller`] and a set of [`Conn`] state machines
-//!   (read buffer → frame parser → backend apply → write buffer), and
-//!   non-blockingly accepts from the shared listener each tick.
+//! * **No async runtime, no FFI, no poller.** The offline dependency set
+//!   has no tokio and the workspace forbids `unsafe`, so readiness is
+//!   what a non-blocking read says: each of the `workers` event-loop
+//!   threads owns a `Vec` of [`Conn`] state machines (read buffer →
+//!   frame parser → backend apply → write buffer) and sweeps them all,
+//!   a read that would block being the "not ready" answer. A sweep that
+//!   moves no bytes parks the worker on the stop condvar with a backoff,
+//!   and each wait window opens with a non-blocking accept from the
+//!   shared listener.
 //! * **Backpressure and shedding.** A connection whose reply backlog
-//!   outgrows its write buffer pauses parsing (and read interest) until
-//!   the peer drains it. Every accepted connection reserves a slot in
+//!   outgrows its write buffer pauses parsing (and reading) until the
+//!   peer drains it. Every accepted connection reserves a slot in
 //!   one server-wide budget of `max_conns` (whichever worker accepts
 //!   it); one past the budget is refused with `ERR overloaded` and
 //!   counted in the `shed` metric — explicit shedding instead of
@@ -23,16 +23,16 @@
 //!   [`ShardedProfile::apply_batch`] at `flush_every` tuples. Every read
 //!   query flushes first, so a connection always reads its own writes.
 //! * **Graceful shutdown.** `SHUTDOWN` (or [`Server::shutdown`]) flips
-//!   a flag and notifies every poller; workers drain each connection's
-//!   pending buffer (complete frames are never dropped; a `BATCH` cut
-//!   off mid-body is dropped whole), flush final replies, and exit.
+//!   a flag and wakes every parked worker; workers drain each
+//!   connection's pending buffer (complete frames are never dropped; a
+//!   `BATCH` cut off mid-body is dropped whole), flush final replies,
+//!   and exit.
 //! * **Replication streams stay on dedicated threads.** A validated
-//!   `REPLICATE` deregisters the connection from its event loop and
-//!   hands the raw stream (plus any pipelined leftover bytes) to a
-//!   blocking stream thread, so a replica tailing the log for hours
-//!   never occupies event-loop capacity.
+//!   `REPLICATE` removes the connection from its event loop and hands
+//!   the raw stream (plus any pipelined leftover bytes) to a blocking
+//!   stream thread, so a replica tailing the log for hours never
+//!   occupies event-loop capacity.
 
-use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Component, Path, PathBuf};
@@ -41,7 +41,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use polling::{Event, Poller};
 use sprofile::Tuple;
 use sprofile_concurrent::ShardedProfile;
 use sprofile_obs::hist::AtomicLogHistogram;
@@ -53,16 +52,28 @@ use sprofile_replicate::{
 
 use crate::backend::BackendKind;
 use crate::cluster::{ClusterConfig, ClusterState};
-use crate::conn::{Conn, Flow};
+use crate::conn::{micros, Conn, Flow, READ_BUDGET, READ_CHUNK};
 use crate::durability::{Durability, DurabilityConfig};
 use crate::metrics::{Metrics, PhaseHists, TickHists, VerbHists};
 use crate::protocol::{self, Response};
 use crate::repl::{BackendSink, ReplState, ReplicaState};
 
-/// Poller wait when a worker has live connections.
+/// Longest idle stretch before a worker with connections accepts again.
 const ACTIVE_WAIT: Duration = Duration::from_millis(1);
-/// Poller wait when a worker is idle (accept latency bound).
+/// Longest idle stretch before a worker without connections accepts
+/// again (its accept latency bound).
 const IDLE_WAIT: Duration = Duration::from_millis(5);
+/// The park after each sweep that moves no bytes, by how many such
+/// sweeps came before it in the wait window: two yields, then 50, 100
+/// and 250 µs, then 1 ms from there on.
+const PARKS: [Duration; 6] = [
+    Duration::ZERO,
+    Duration::ZERO,
+    Duration::from_micros(50),
+    Duration::from_micros(100),
+    Duration::from_micros(250),
+    Duration::from_millis(1),
+];
 /// Read timeout for detached replication-stream ack readers, so they
 /// poll the stop flag.
 const STREAM_READ_TIMEOUT: Duration = Duration::from_millis(25);
@@ -157,9 +168,8 @@ pub struct ServerConfig {
     /// rounds the count up to a multiple of its slice count
     /// ([`Server::shards`] reports the count in effect).
     pub backend: BackendKind,
-    /// Event-loop worker threads. Unlike the old accept pool, this does
-    /// **not** bound concurrent connections — each worker multiplexes
-    /// many; [`ServerConfig::max_conns`] is the connection bound.
+    /// Event-loop worker threads. Each multiplexes many connections;
+    /// [`ServerConfig::max_conns`] is the connection bound.
     pub workers: usize,
     /// Connections served concurrently across all workers before new
     /// ones are shed with `ERR overloaded` (and counted in `shed`).
@@ -263,7 +273,7 @@ pub(crate) struct Meters {
 
 /// Shared state between the server handle and its workers.
 pub(crate) struct Shared {
-    pub(crate) metrics: Metrics,
+    pub(crate) metrics: Arc<Metrics>,
     pub(crate) m: u32,
     /// The backend's effective shard count: `--shards` after a cluster
     /// node's slice alignment and the clamp to `m`.
@@ -281,16 +291,16 @@ pub(crate) struct Shared {
     /// Cross-verb phase histograms (one per request [`Phase`], fed by
     /// every finished request span), plus the per-flush histogram.
     pub(crate) phase_us: PhaseHists,
-    /// Per-event-loop tick instrumentation (poll wait, conns serviced
-    /// per tick, read-budget exhaustion), aggregated across workers.
+    /// Event-loop instrumentation (idle wait, connections moving bytes
+    /// per sweep, read-budget exhaustion), aggregated across workers.
     pub(crate) ticks: TickHists,
     /// Flight recorder retaining the slowest recent request spans —
     /// the `SPANS` verb reads it; panics dump it next to the log ring.
     pub(crate) spans: Arc<FlightRecorder>,
     /// Slow-op threshold in µs; `None` = check disabled.
     pub(crate) slow_us: Option<u64>,
-    /// Monotonic connection-id source (per-worker poller keys repeat
-    /// across workers; log events need a server-unique id).
+    /// Monotonic connection-id source (log events need a server-unique
+    /// id).
     pub(crate) conn_ids: AtomicU64,
     /// Scrape-time per-second meters (see [`Meters`]).
     pub(crate) meters: Meters,
@@ -315,8 +325,6 @@ pub(crate) struct Shared {
     pub(crate) commit_wait: AtomicLogHistogram,
     /// Dedicated replication-stream threads, joined on shutdown.
     stream_threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Every worker's poller, so `trigger_stop` can wake parked waits.
-    pollers: Mutex<Vec<Arc<Poller>>>,
     stop: AtomicBool,
     stop_lock: Mutex<bool>,
     stop_cond: Condvar,
@@ -342,10 +350,6 @@ impl Shared {
         self.stop.store(true, Ordering::Release);
         *self.stop_lock.lock().expect("stop lock poisoned") = true;
         self.stop_cond.notify_all();
-        // Wake every event loop parked in a poller wait.
-        for p in self.pollers.lock().expect("pollers lock poisoned").iter() {
-            p.notify();
-        }
     }
 
     /// Sleeps up to `dur` on the stop condvar; `true` means the server
@@ -396,7 +400,7 @@ impl Shared {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        let waited = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        let waited = micros(start.elapsed());
         self.commit_wait.record(waited);
         waited
     }
@@ -456,10 +460,11 @@ impl Server {
                 d.registry(),
             ))
         });
+        let metrics = Arc::new(Metrics::default());
         let replica = config.replica_of.as_ref().map(|primary| {
             let stats = ApplierStats::new();
             let sink = BackendSink::new(Arc::clone(&backend), durability.clone(), config.m)
-                .with_obs(Arc::clone(&obs));
+                .reporting_to(Arc::clone(&obs), Arc::clone(&metrics));
             let applier = Applier::spawn(
                 ApplierOptions::new(primary.clone()),
                 Box::new(sink),
@@ -481,7 +486,7 @@ impl Server {
             None => None,
         };
         let shared = Arc::new(Shared {
-            metrics: Metrics::default(),
+            metrics,
             m: config.m,
             shards: backend.num_shards(),
             max_conns: config.max_conns.max(1) as u64,
@@ -513,7 +518,6 @@ impl Server {
             sync_degraded: AtomicBool::new(false),
             commit_wait: AtomicLogHistogram::new(),
             stream_threads: Mutex::new(Vec::new()),
-            pollers: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
             stop_lock: Mutex::new(false),
             stop_cond: Condvar::new(),
@@ -564,16 +568,10 @@ impl Server {
             let listener = listener.try_clone()?;
             let backend = Arc::clone(&backend);
             let shared_w = Arc::clone(&shared);
-            let poller = Arc::new(Poller::new());
-            shared
-                .pollers
-                .lock()
-                .expect("pollers lock poisoned")
-                .push(Arc::clone(&poller));
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("sprofile-worker-{i}"))
-                    .spawn(move || event_worker(listener, backend, shared_w, poller))
+                    .spawn(move || event_worker(listener, backend, shared_w))
                     .expect("spawn event worker"),
             );
         }
@@ -830,10 +828,7 @@ pub(crate) fn flush_pending(
             backend.apply_batch(pending);
         }
     }
-    shared
-        .phase_us
-        .flush_us
-        .record(t0.elapsed().as_micros().min(u64::MAX as u128) as u64);
+    shared.phase_us.flush_us.record(micros(t0.elapsed()));
     if trace != 0 {
         log!(
             shared.obs,
@@ -921,86 +916,51 @@ fn serve_metrics_http(mut stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.flush();
 }
 
-/// One event-loop worker: non-blockingly accepts from the shared
-/// listener, then multiplexes its connections through the poller.
-fn event_worker(
-    listener: TcpListener,
-    backend: Arc<ShardedProfile>,
-    shared: Arc<Shared>,
-    poller: Arc<Poller>,
-) {
-    let mut conns: HashMap<usize, Conn> = HashMap::new();
-    let mut events: Vec<Event> = Vec::new();
-    let mut ready: Vec<usize> = Vec::new();
-    let mut next_key: usize = 0;
+/// One event-loop worker. Each sweep steps every connection it owns. A
+/// wait window opens with an accept from the shared listener and closes
+/// at the first sweep that moves bytes, or once its idle stretch reaches
+/// [`ACTIVE_WAIT`] ([`IDLE_WAIT`] without connections); each sweep
+/// inside it that moves nothing parks on [`PARKS`].
+fn event_worker(listener: TcpListener, backend: Arc<ShardedProfile>, shared: Arc<Shared>) {
+    let mut conns: Vec<Conn> = Vec::new();
+    // Every read lands here first; a connection keeps only what arrived.
+    let mut scratch = vec![0u8; READ_CHUNK];
+    accept_burst(&listener, &shared, &mut conns);
+    let mut window = Instant::now();
+    let mut idle_sweeps = 0;
     while !shared.stopping() {
-        accept_burst(&listener, &shared, &poller, &mut conns, &mut next_key);
-        let timeout = if conns.is_empty() {
+        let t_sweep = Instant::now();
+        let moved = sweep(&mut conns, &mut scratch, &backend, &shared);
+        // The idle stretch ends where this sweep starts: its own work is
+        // not waiting.
+        let idle = t_sweep.duration_since(window);
+        let cap = if conns.is_empty() {
             IDLE_WAIT
         } else {
             ACTIVE_WAIT
         };
-        let t_wait = Instant::now();
-        let _ = poller.wait(&mut events, Some(timeout));
-        shared
-            .ticks
-            .poll_wait_us
-            .record(t_wait.elapsed().as_micros().min(u64::MAX as u128) as u64);
-        if shared.stopping() {
-            break;
-        }
-        // Step every readable connection, plus any with leftover work
-        // (buffered replies, unparsed input, a deferred close).
-        ready.clear();
-        ready.extend(events.iter().map(|e| e.key));
-        ready.extend(
-            conns
-                .iter()
-                .filter(|(_, c)| c.wants_step())
-                .map(|(&k, _)| k),
-        );
-        ready.sort_unstable();
-        ready.dedup();
-        if !ready.is_empty() {
-            shared.ticks.conns_per_tick.record(ready.len() as u64);
-        }
-        for key in ready.drain(..) {
-            let Some(conn) = conns.get_mut(&key) else {
-                continue;
-            };
-            match step_conn(conn, &backend, &shared) {
-                StepResult::Keep => {
-                    poller.modify(Event {
-                        key,
-                        readable: !conn.paused() && !conn.finished(),
-                    });
-                }
-                StepResult::Close => {
-                    poller.delete(key);
-                    let mut conn = conns.remove(&key).expect("conn present");
-                    flush_pending(&mut conn.pending, &backend, &shared, conn.trace, None);
-                    log!(shared.obs, Level::Debug, "conn", "closed", conn = conn.id);
-                    shared.metrics.conns.dec();
-                    shared.metrics.connections_active.dec();
-                }
-                StepResult::Detach { start_lsn, epoch } => {
-                    poller.delete(key);
-                    let conn = conns.remove(&key).expect("conn present");
-                    shared.metrics.conns.dec();
-                    // `pending` was flushed by the REPLICATE arm; the
-                    // stream thread owns the active count from here.
-                    if detach_stream(conn, &shared, start_lsn, epoch).is_err() {
-                        shared.metrics.connections_active.dec();
-                    }
-                }
+        if moved > 0 || idle >= cap {
+            shared.ticks.poll_wait_us.record(micros(idle));
+            if moved > 0 {
+                shared.ticks.conns_per_tick.record(moved);
             }
+            accept_burst(&listener, &shared, &mut conns);
+            window = Instant::now();
+            idle_sweeps = 0;
+            continue;
+        }
+        let park = PARKS[idle_sweeps.min(PARKS.len() - 1)].min(cap - idle);
+        idle_sweeps += 1;
+        if park.is_zero() {
+            std::thread::yield_now();
+        } else {
+            shared.sleep_or_stop(park);
         }
     }
     // Drain: acked tuples always reach the backend, and buffered
     // replies (e.g. the SHUTDOWN conn's BYE) get a best-effort
     // synchronous flush.
-    for (key, mut conn) in conns.drain() {
-        poller.delete(key);
+    for mut conn in conns {
         flush_pending(&mut conn.pending, &backend, &shared, conn.trace, None);
         conn.blocking_flush(Duration::from_millis(500));
         shared.metrics.conns.dec();
@@ -1008,16 +968,46 @@ fn event_worker(
     }
 }
 
+/// Steps every connection once, closing or detaching those that ended.
+/// Returns how many moved bytes.
+fn sweep(
+    conns: &mut Vec<Conn>,
+    scratch: &mut [u8],
+    backend: &ShardedProfile,
+    shared: &Arc<Shared>,
+) -> u64 {
+    let mut moved = 0;
+    let mut i = 0;
+    while i < conns.len() {
+        let (next, moved_bytes) = step_conn(&mut conns[i], scratch, backend, shared);
+        moved += u64::from(moved_bytes);
+        match next {
+            StepResult::Keep => i += 1,
+            StepResult::Close => {
+                let mut conn = conns.swap_remove(i);
+                flush_pending(&mut conn.pending, backend, shared, conn.trace, None);
+                log!(shared.obs, Level::Debug, "conn", "closed", conn = conn.id);
+                shared.metrics.conns.dec();
+                shared.metrics.connections_active.dec();
+            }
+            StepResult::Detach { start_lsn, epoch } => {
+                let conn = conns.swap_remove(i);
+                shared.metrics.conns.dec();
+                // `pending` was flushed by the REPLICATE arm; the
+                // stream thread owns the active count from here.
+                if detach_stream(conn, shared, start_lsn, epoch).is_err() {
+                    shared.metrics.connections_active.dec();
+                }
+            }
+        }
+    }
+    moved
+}
+
 /// Accepts every connection the listener has queued. Each one first
 /// reserves a slot in the server-wide `max_conns` budget (released on
 /// close or detach); with none left, it is shed with `ERR overloaded`.
-fn accept_burst(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    poller: &Arc<Poller>,
-    conns: &mut HashMap<usize, Conn>,
-    next_key: &mut usize,
-) {
+fn accept_burst(listener: &TcpListener, shared: &Arc<Shared>, conns: &mut Vec<Conn>) {
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -1026,11 +1016,7 @@ fn accept_burst(
                     shed(stream, shared);
                     continue;
                 }
-                let key = *next_key;
-                *next_key += 1;
-                let registered = stream.set_nonblocking(true).is_ok()
-                    && poller.add(&stream, Event::readable(key)).is_ok();
-                if !registered {
+                if stream.set_nonblocking(true).is_err() {
                     shared.metrics.conns.dec();
                     continue;
                 }
@@ -1038,12 +1024,12 @@ fn accept_burst(
                 shared.metrics.connections_active.inc();
                 let id = shared.next_conn_id();
                 log!(shared.obs, Level::Debug, "conn", "accepted", conn = id);
-                conns.insert(key, Conn::new(stream, shared.flush_every, id));
+                conns.push(Conn::new(stream, shared.flush_every, id));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             // Transient accept failures (EMFILE under fd pressure,
-            // ECONNABORTED, …) must not kill the worker: the next tick
+            // ECONNABORTED, …) must not kill the worker: the next window
             // retries, and the loop top still honours the stop flag.
             Err(_) => break,
         }
@@ -1074,14 +1060,22 @@ enum StepResult {
     Detach { start_lsn: u64, epoch: u64 },
 }
 
-/// One tick of one connection: read, parse/serve, write.
-fn step_conn(conn: &mut Conn, backend: &ShardedProfile, shared: &Arc<Shared>) -> StepResult {
+/// One sweep's step of one connection: read, parse/serve, write.
+/// Returns what becomes of the connection, and whether it moved bytes.
+fn step_conn(
+    conn: &mut Conn,
+    scratch: &mut [u8],
+    backend: &ShardedProfile,
+    shared: &Arc<Shared>,
+) -> (StepResult, bool) {
     let mut fatal = false;
+    let mut moved = false;
     if !conn.paused() {
-        match conn.fill() {
-            Ok(exhausted) => {
-                if exhausted {
-                    // The connection hit its per-tick read budget — the
+        match conn.fill(scratch) {
+            Ok(read) => {
+                moved = read > 0;
+                if read >= READ_BUDGET {
+                    // The connection hit its per-sweep read budget — the
                     // fairness throttle engaged. A sustained rate here
                     // means some connection's input keeps outpacing it.
                     shared.ticks.read_budget_exhausted.inc();
@@ -1095,17 +1089,19 @@ fn step_conn(conn: &mut Conn, backend: &ShardedProfile, shared: &Arc<Shared>) ->
     }
     let flow = conn.process(backend, shared);
     if let Flow::Stream { start_lsn, epoch } = flow {
-        return StepResult::Detach { start_lsn, epoch };
+        return (StepResult::Detach { start_lsn, epoch }, moved);
     }
-    if conn.flush_socket().is_err() {
-        fatal = true;
+    match conn.flush_socket() {
+        Ok(written) => moved |= written > 0,
+        Err(_) => fatal = true,
     }
     let done = matches!(flow, Flow::Done);
-    if fatal || (done && !conn.wants_write()) {
+    let next = if fatal || (done && !conn.wants_write()) {
         StepResult::Close
     } else {
         StepResult::Keep
-    }
+    };
+    (next, moved)
 }
 
 /// Hands a validated `REPLICATE` connection to a dedicated blocking
