@@ -7,12 +7,15 @@
 //! to each other outside of an explicit `MIGRATE`; all coordination
 //! lives in the map and in this crate's client:
 //!
-//! - [`ClusterClient`] routes writes to slice owners (one pipelined
-//!   binary `BATCH` frame per node), retries `ERR moved` rejections
-//!   against a refreshed map, and answers global queries by
-//!   scatter-gathering the per-node answers (each over the node's owned
-//!   slices) through exact-merge code — cluster answers are
-//!   bit-identical to a single profile over the same stream.
+//! - [`ClusterClient`] routes writes to slice owners (one binary
+//!   `BATCH` frame per node), retries `ERR moved` rejections against a
+//!   map refreshed over its data connections, and answers global
+//!   queries by scatter-gathering the per-node answers (each over the
+//!   node's owned slices) through exact-merge code — cluster answers
+//!   are bit-identical to a single profile over the same stream. Every
+//!   fan-out is one pipelined round: the request goes to every node
+//!   before any reply is read, so it costs one network round trip
+//!   whatever the node count.
 //! - [`ChaosProxy`] is a TCP forwarder with a kill switch, used by the
 //!   chaos suites to cut a node off mid-run (network partition) and
 //!   heal it later.

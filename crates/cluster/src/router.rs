@@ -1,6 +1,19 @@
 //! The cluster-aware client: write routing, moved-retry, and exact
 //! scatter-gather merges.
 //!
+//! # Rounds
+//!
+//! Every fan-out is one pipelined round over the binary data
+//! connections: the router encodes the request into every node's output
+//! buffer, flushes every node, then reads the replies in node order. A
+//! round costs one network round trip, not one per node, and the nodes
+//! work in parallel. Replies pair with requests by order on each
+//! connection, so a round reads every reply of every node it flushed,
+//! even after another node failed, and returns the first error in node
+//! order; a node whose flush failed is never read from. A routed batch
+//! is one round of per-node `BATCH` frames; a `MEDIAN` is one round of
+//! `MEDIAN` plus one round of `CAL` per bisection step.
+//!
 //! # Exactness
 //!
 //! Every node answers queries over its owned slices only (folding the
@@ -27,21 +40,22 @@
 //!
 //! A write whose frame touches a slice the receiving node no longer
 //! owns is rejected wholesale with `ERR moved <ver>`. The router then
-//! refreshes its map (adopting only strictly newer versions), waits
-//! [`MOVED_BACKOFF`], and resends *only the rejected frames* — acked
-//! frames are never replayed. `MIGRATE` is a barrier for global
-//! queries: during the short hand-off window neither node claims the
-//! migrating slice, so queries issued mid-migration may be routed with
-//! a stale map; the retry loop covers `FREQ`, and tests validate
-//! global queries after `MIGRATE` returns.
+//! refreshes its map (one `MAP` round, adopting only strictly newer
+//! versions), waits [`MOVED_BACKOFF`], and resends *only the rejected
+//! frames* — acked frames are never replayed. `MIGRATE` is a barrier
+//! for global queries: during the short hand-off window neither node
+//! claims the migrating slice, so queries issued mid-migration may be
+//! routed with a stale map; the retry loop covers `FREQ`, and tests
+//! validate global queries after `MIGRATE` returns.
 
+use std::io;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use sprofile::{lower_median_of_parts, Tuple};
 use sprofile_obs::hist::LogHistogram;
 use sprofile_persist::PartitionMap;
-use sprofile_server::protocol::MAX_BATCH;
+use sprofile_server::protocol::{Request, Response, MAX_BATCH};
 use sprofile_server::{Client, ClientError, ClientResult, WireProto};
 
 /// How many times a moved-rejected operation is retried against a
@@ -91,6 +105,27 @@ fn exhausted<T>(what: &str) -> ClientResult<T> {
     )))
 }
 
+fn unexpected(req: &Request) -> ClientError {
+    ClientError::Protocol(format!("unexpected reply to {}", req.name()))
+}
+
+/// Every node's value, or the first error in node order.
+fn all<T>(replies: Vec<ClientResult<T>>) -> ClientResult<Vec<T>> {
+    replies.into_iter().collect()
+}
+
+/// One [`ClusterClient::scatter`] round of `$req` on `$router`,
+/// unpacking the one reply shape that answers it: each node's value or
+/// error, in node order.
+macro_rules! scatter {
+    ($router:expr, $req:expr, $shape:pat => $value:expr) => {
+        $router.scatter($req, |reply| match reply {
+            $shape => Some($value),
+            _ => None,
+        })
+    };
+}
+
 /// One logical connection to a whole cluster: a binary-mode data
 /// connection per node plus a cached partition map.
 pub struct ClusterClient {
@@ -102,9 +137,8 @@ pub struct ClusterClient {
     /// connection — the trace must survive the very events it exists
     /// to explain.
     trace: u64,
-    /// Per-node round-trip latency (microseconds), index-aligned with
-    /// the map's node list: which node each scatter-gather query or
-    /// routed batch spent its time waiting on.
+    /// Per-node reply wait (microseconds), index-aligned with the map's
+    /// node list: which node each round spent its time waiting on.
     node_us: Vec<LogHistogram>,
 }
 
@@ -134,8 +168,8 @@ impl ClusterClient {
         })
     }
 
-    /// Runs one call against node `i`, recording its round-trip
-    /// latency in that node's histogram.
+    /// Runs one call against node `i`, recording its latency in that
+    /// node's histogram.
     fn timed<T>(
         &mut self,
         i: usize,
@@ -148,12 +182,68 @@ impl ClusterClient {
         result
     }
 
-    /// Per-node call latency histograms (microseconds), index-aligned
-    /// with [`Self::map`]'s node list. For scatter-gather queries each
-    /// sample is one node's share of one fan-out; for batches it is
-    /// the wait for one frame's acknowledgement.
+    /// Per-node latency histograms (microseconds), index-aligned with
+    /// [`Self::map`]'s node list. A round records one sample per reply
+    /// it reads: the time spent reading that reply, after every node
+    /// was sent its request. The first node read waits out the round
+    /// trip and each later one only what is left of its own, so one
+    /// round's samples sum to at most its wall time. A `FREQ` records
+    /// its one round trip to the slice owner.
     pub fn node_latency_us(&self) -> &[LogHistogram] {
         &self.node_us
+    }
+
+    /// Sends `req` to every node in one pipelined round and returns each
+    /// node's reply, unpacked by `unpack`, in node order.
+    fn scatter<T>(
+        &mut self,
+        req: Request,
+        unpack: impl Fn(Response) -> Option<T>,
+    ) -> Vec<ClientResult<T>> {
+        let reqs: Vec<(usize, Request)> = (0..self.nodes.len()).map(|i| (i, req.clone())).collect();
+        self.round(&reqs, unpack)
+    }
+
+    /// One pipelined round: encodes each `(node, request)` into that
+    /// node's output buffer, flushes every node named, then reads the
+    /// replies in send order, timing each read in its node's histogram,
+    /// and returns them unpacked by `unpack`. Every reply of a flushed
+    /// node is read, even after another reply failed, so no connection
+    /// keeps a reply that its next request would pair with. A node
+    /// whose flush failed is never read from: its first request carries
+    /// the flush error, any later one fails as not connected.
+    fn round<T>(
+        &mut self,
+        reqs: &[(usize, Request)],
+        unpack: impl Fn(Response) -> Option<T>,
+    ) -> Vec<ClientResult<T>> {
+        let sent: Vec<ClientResult<()>> = reqs
+            .iter()
+            .map(|(i, req)| self.nodes[*i].send(req))
+            .collect();
+        let mut flushed: Vec<Option<ClientResult<()>>> =
+            (0..self.nodes.len()).map(|_| None).collect();
+        for &(i, _) in reqs {
+            if flushed[i].is_none() {
+                flushed[i] = Some(self.nodes[i].flush_out());
+            }
+        }
+        let mut replies = Vec::with_capacity(reqs.len());
+        for ((i, req), sent) in reqs.iter().zip(sent) {
+            let reply = match (sent, &mut flushed[*i]) {
+                (Err(e), _) => Err(e),
+                (Ok(()), Some(Ok(()))) => self
+                    .timed(*i, |n| n.recv(req))
+                    .and_then(|r| unpack(r).ok_or_else(|| unexpected(req))),
+                // The flush error goes to the node's first request.
+                (Ok(()), flush) => match flush.take() {
+                    Some(Err(e)) => Err(e),
+                    _ => Err(io::Error::from(io::ErrorKind::NotConnected).into()),
+                },
+            };
+            replies.push(reply);
+        }
+        replies
     }
 
     /// Tags every data connection with `id` (0 clears): each node logs
@@ -161,9 +251,7 @@ impl ClusterClient {
     /// one scatter-gather query or routed batch is correlatable across
     /// every node's `LOGTAIL` ring. The id survives reconnects.
     pub fn trace(&mut self, id: u64) -> ClientResult<()> {
-        for node in &mut self.nodes {
-            node.trace(id)?;
-        }
+        all(scatter!(self, Request::Trace(id), Response::Ok => ()))?;
         self.trace = id;
         Ok(())
     }
@@ -178,29 +266,23 @@ impl ClusterClient {
         self.m
     }
 
-    /// Re-fetches the map from every reachable node and adopts the
-    /// newest strictly-newer version. Returns whether the map changed.
+    /// Fetches the map from every node in one `MAP` round over the data
+    /// connections and adopts the newest strictly-newer version. A node
+    /// whose round failed is skipped: a dead node cannot hold the newest
+    /// map. Returns whether the map changed.
     pub fn refresh_map(&mut self) -> ClientResult<bool> {
-        let mut newest: Option<PartitionMap> = None;
-        for addr in self.map.nodes.clone() {
-            let Ok(mut c) = Client::connect(&addr) else {
-                continue; // a dead node can't have the newest map
-            };
-            if let Ok(map) = c.map() {
-                let best = newest.as_ref().map_or(self.map.version, |n| n.version);
-                if map.version > best {
-                    newest = Some(map);
+        let version = self.map.version;
+        for wire in scatter!(self, Request::Map, Response::Map(wire) => wire)
+            .into_iter()
+            .flatten()
+        {
+            if let Ok(map) = PartitionMap::from_wire(&wire) {
+                if map.version > self.map.version {
+                    self.map = map;
                 }
             }
-            let _ = c.quit();
         }
-        match newest {
-            Some(map) => {
-                self.map = map;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        Ok(self.map.version != version)
     }
 
     /// Replaces the data connection for `node` — used after a failover
@@ -234,11 +316,24 @@ impl ClusterClient {
     }
 
     /// Routes one batch of tuples: partitions them per owning node,
-    /// pipelines one binary `BATCH` frame per node (splitting at
-    /// [`MAX_BATCH`]), and returns the total acknowledged tuple count.
-    /// Frames rejected with `ERR moved` are re-partitioned against a
-    /// refreshed map and resent; acked frames are never replayed.
+    /// sends one binary `BATCH` frame per node (splitting at
+    /// [`MAX_BATCH`]) in one round, and returns the total acknowledged
+    /// tuple count. Frames rejected with `ERR moved` are re-partitioned
+    /// against a refreshed map and resent; acked frames are never
+    /// replayed. A tuple outside the universe refuses the whole batch
+    /// before any frame is sent, with the message a node gives for it.
+    /// Any other refusal returns the first error in node order, once
+    /// every node's reply is read; the nodes that acknowledged their
+    /// frames have applied them.
     pub fn batch(&mut self, tuples: &[Tuple]) -> ClientResult<u64> {
+        if let Some((i, t)) = tuples.iter().enumerate().find(|(_, t)| t.object >= self.m) {
+            return Err(ClientError::Server(format!(
+                "tuple {}: object {} outside universe [0, {})",
+                i + 1,
+                t.object,
+                self.m
+            )));
+        }
         let mut pending: Vec<Tuple> = tuples.to_vec();
         let mut acked = 0u64;
         for attempt in 0..MAX_MOVED_RETRIES {
@@ -249,38 +344,37 @@ impl ClusterClient {
             for &t in &pending {
                 per_node[self.map.owner_of(t.object) as usize].push(t);
             }
-            // (node, frame) in send order; replies are FIFO per
-            // connection, so receiving in the same order pairs up.
-            let mut frames: Vec<(usize, &[Tuple])> = Vec::new();
-            for (i, chunk) in per_node.iter().enumerate() {
-                for sub in chunk.chunks(MAX_BATCH) {
-                    frames.push((i, sub));
-                }
-            }
-            for &(i, frame) in &frames {
-                self.nodes[i].batch_send(frame)?;
-            }
-            // Flush only the nodes this round touched: an unreachable
-            // node's connection (stale bytes from a failed flush) must
-            // not fail batches that never route to it.
-            let mut touched = vec![false; self.nodes.len()];
-            for &(i, _) in &frames {
-                touched[i] = true;
-            }
-            for (i, hit) in touched.into_iter().enumerate() {
-                if hit {
-                    self.nodes[i].flush_out()?;
-                }
-            }
+            // (node, frame) in send order. Only the nodes a frame routes
+            // to are flushed: an unreachable node's connection must not
+            // fail batches that never route to it.
+            let frames: Vec<(usize, &[Tuple])> = per_node
+                .iter()
+                .enumerate()
+                .flat_map(|(i, part)| part.chunks(MAX_BATCH).map(move |frame| (i, frame)))
+                .collect();
+            let reqs: Vec<(usize, Request)> = frames
+                .iter()
+                .map(|&(i, frame)| (i, Request::batch(frame.to_vec())))
+                .collect();
+            let replies = self.round(&reqs, |reply| match reply {
+                Response::Count(n) => Some(n),
+                _ => None,
+            });
             let mut rejected: Vec<Tuple> = Vec::new();
-            for &(i, frame) in &frames {
-                match self.timed(i, |n| n.batch_recv()) {
+            let mut failed = None;
+            for (&(_, frame), reply) in frames.iter().zip(replies) {
+                match reply {
                     Ok(n) => acked += n,
                     Err(ClientError::Server(msg)) if parse_moved(&msg).is_some() => {
                         rejected.extend_from_slice(frame);
                     }
-                    Err(e) => return Err(e),
+                    Err(e) => {
+                        failed.get_or_insert(e);
+                    }
                 }
+            }
+            if let Some(e) = failed {
+                return Err(e);
             }
             pending = rejected;
             if !pending.is_empty() && attempt + 1 < MAX_MOVED_RETRIES {
@@ -294,60 +388,35 @@ impl ClusterClient {
     /// Global `MODE`: max frequency, ties to the smallest id — exactly
     /// the single-profile answer.
     pub fn mode(&mut self) -> ClientResult<Option<(u32, i64)>> {
-        let mut best: Option<(u32, i64)> = None;
-        for i in 0..self.nodes.len() {
-            if let Some(p) = self.timed(i, |n| n.mode())? {
-                best = Some(match best {
-                    Some(b) => merge_mode(b, p),
-                    None => p,
-                });
-            }
-        }
-        Ok(best)
+        let pairs = all(scatter!(self, Request::Mode, Response::Mode(pair) => pair))?;
+        Ok(pairs.into_iter().flatten().reduce(merge_mode))
     }
 
     /// Global `LEAST`: min frequency, ties to the smallest id.
     pub fn least(&mut self) -> ClientResult<Option<(u32, i64)>> {
-        let mut best: Option<(u32, i64)> = None;
-        for i in 0..self.nodes.len() {
-            if let Some(p) = self.timed(i, |n| n.least())? {
-                best = Some(match best {
-                    Some(b) => merge_least(b, p),
-                    None => p,
-                });
-            }
-        }
-        Ok(best)
+        let pairs = all(scatter!(self, Request::Least, Response::Least(pair) => pair))?;
+        Ok(pairs.into_iter().flatten().reduce(merge_least))
     }
 
     /// Global `TOPK`: merges each node's with-ties over-fetch.
     pub fn top_k(&mut self, k: u32) -> ClientResult<Vec<(u32, i64)>> {
-        let mut union = Vec::new();
-        for i in 0..self.nodes.len() {
-            union.extend(self.timed(i, |n| n.top_k(k))?);
-        }
-        Ok(merge_top_k(union, k))
+        let lists = all(scatter!(self, Request::TopK(k), Response::TopK(entries) => entries))?;
+        Ok(merge_top_k(lists.concat(), k))
     }
 
     /// Global `CAL`: the sum over disjoint partitions.
     pub fn count_at_least(&mut self, threshold: i64) -> ClientResult<u32> {
-        let mut total = 0u32;
-        for i in 0..self.nodes.len() {
-            total += self.timed(i, |n| n.count_at_least(threshold))?;
-        }
-        Ok(total)
+        let counts = all(scatter!(self, Request::Cal(threshold), Response::Cal(n) => n))?;
+        Ok(counts.into_iter().sum())
     }
 
-    /// Global lower median: one `MEDIAN` per node brackets it, and
-    /// summed `CAL` rounds bisect only inside the bracket
+    /// Global lower median: one `MEDIAN` round brackets it, and summed
+    /// `CAL` rounds bisect only inside the bracket
     /// ([`lower_median_of_parts`]).
     pub fn median(&mut self) -> ClientResult<Option<i64>> {
-        let mut medians = Vec::with_capacity(self.nodes.len());
-        for i in 0..self.nodes.len() {
-            // A node that owns no slice has no median.
-            medians.extend(self.timed(i, |n| n.median())?);
-        }
-        lower_median_of_parts(u64::from(self.m), medians, |v| {
+        let medians = all(scatter!(self, Request::Median, Response::Median(median) => median))?;
+        // A node that owns no slice has no median.
+        lower_median_of_parts(u64::from(self.m), medians.into_iter().flatten(), |v| {
             self.count_at_least(v).map(u64::from)
         })
     }
@@ -374,11 +443,9 @@ impl ClusterClient {
         self.nodes[node].stats()
     }
 
-    /// Closes every data connection politely.
-    pub fn close(self) -> ClientResult<()> {
-        for node in self.nodes {
-            node.quit()?;
-        }
+    /// Closes every data connection politely, in one `QUIT` round.
+    pub fn close(mut self) -> ClientResult<()> {
+        all(scatter!(self, Request::Quit, Response::Bye => ()))?;
         Ok(())
     }
 }

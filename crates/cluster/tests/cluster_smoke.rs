@@ -9,7 +9,9 @@ use std::path::PathBuf;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use sprofile::{SProfile, Tuple};
 use sprofile_cluster::ClusterClient;
-use sprofile_server::{BackendKind, Client, ClusterConfig, DurabilityConfig, Server, ServerConfig};
+use sprofile_server::{
+    BackendKind, Client, ClientError, ClusterConfig, DurabilityConfig, Server, ServerConfig,
+};
 
 fn temp_base(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -293,6 +295,45 @@ fn median_takes_one_call_per_node_when_node_medians_agree() {
         node_calls(&router) - before > 2,
         "CAL rounds bisected the bracket"
     );
+
+    router.close().expect("close router");
+    for s in servers {
+        s.shutdown();
+    }
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// A routed batch with a tuple outside the universe is refused whole
+/// before any frame is sent, as a node refuses such a frame, and every
+/// node's connection stays paired with its requests.
+#[test]
+fn a_batch_with_an_object_outside_the_universe_is_refused_whole() {
+    let m = 64u32;
+    let base = temp_base("universe");
+    let addrs = reserve_addrs(2);
+    let servers: Vec<Server> = (0..2u32)
+        .map(|i| {
+            start_node(
+                m,
+                4,
+                i,
+                &addrs,
+                base.join(format!("node{i}")),
+                BackendKind::Sharded { shards: 2 },
+            )
+        })
+        .collect();
+    let mut router = ClusterClient::connect(&addrs[0]).expect("router");
+    // Object 64 would route to node 0 and object 1 to node 1.
+    match router.batch(&[Tuple::add(64), Tuple::add(1), Tuple::add(1)]) {
+        Err(ClientError::Server(msg)) => {
+            assert_eq!(msg, "tuple 1: object 64 outside universe [0, 64)")
+        }
+        other => panic!("a batch outside the universe answered {other:?}"),
+    }
+    assert_eq!(router.freq(1).expect("freq"), 0, "nothing was applied");
+    assert_eq!(router.batch(&[Tuple::add(1)]).expect("batch"), 1);
+    assert_eq!(router.mode().expect("mode"), Some((1, 1)));
 
     router.close().expect("close router");
     for s in servers {

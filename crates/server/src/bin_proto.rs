@@ -14,7 +14,7 @@
 //! sending the text line `BIN` (answered with the text line `OK BIN`);
 //! after that, both directions speak framed binary. The verbs without
 //! an opcode stay on the text plane: `METRICS`, `LOGTAIL`, `SPANS`,
-//! `MAP`, `MAPSET`, `MIGRATE`, `ADOPT`, `REPLICATE`, `PROMOTE` and
+//! `MAPSET`, `MIGRATE`, `ADOPT`, `REPLICATE`, `PROMOTE` and
 //! `SNAPSHOT <path>` ([`encode_request`] refuses them). A single `ADD`
 //! or `RM` travels as a one-tuple `BATCH`. Request frames:
 //!
@@ -35,6 +35,7 @@
 //! 0x0A    SHUTDOWN  —
 //! 0x0B    SNAPSHOT  —
 //! 0x0C    TRACE     u64 trace id (0 clears; answered with OK 0)
+//! 0x0D    MAP       —
 //! ```
 //!
 //! Response frames (first byte is the tag):
@@ -52,6 +53,8 @@
 //! 0x87    CAL       u32 count
 //! 0x88    SNAPSHOT  u32 len, raw checkpoint bytes (the same format
 //!                   `SNAPSHOT <path>` writes to disk)
+//! 0x89    MAP       u32 len, utf-8 wire-encoded partition map (the
+//!                   same text as the MAP line)
 //! ```
 //!
 //! A frame is decoded only once all of it has arrived: `BATCH` tuples
@@ -93,6 +96,8 @@ pub const REQ_SHUTDOWN: u8 = 0x0A;
 pub const REQ_SNAPSHOT: u8 = 0x0B;
 /// `TRACE` request opcode (set/clear the connection's trace id).
 pub const REQ_TRACE: u8 = 0x0C;
+/// `MAP` request opcode (fetch the node's partition map).
+pub const REQ_MAP: u8 = 0x0D;
 
 /// `OK` response tag.
 pub const TAG_OK: u8 = 0x80;
@@ -112,6 +117,8 @@ pub const TAG_STATS: u8 = 0x86;
 pub const TAG_CAL: u8 = 0x87;
 /// `SNAPSHOT` response tag.
 pub const TAG_SNAPSHOT: u8 = 0x88;
+/// `MAP` response tag.
+pub const TAG_MAP: u8 = 0x89;
 
 /// Encodes one tuple in the shared 5-byte replication layout.
 pub fn put_tuple(buf: &mut Vec<u8>, t: Tuple) {
@@ -141,7 +148,7 @@ pub fn put_batch(buf: &mut Vec<u8>, tuples: &[Tuple]) {
 }
 
 /// Appends an argument-less request frame (`MODE`, `LEAST`, `MEDIAN`,
-/// `STATS`, `QUIT`, `SHUTDOWN`).
+/// `STATS`, `QUIT`, `SHUTDOWN`, `SNAPSHOT`, `MAP`).
 pub fn put_simple(buf: &mut Vec<u8>, opcode: u8) {
     buf.push(opcode);
 }
@@ -193,6 +200,7 @@ pub(crate) fn decode(buf: &[u8]) -> (usize, Decoded) {
         REQ_QUIT => Some((1, Request::Quit)),
         REQ_SHUTDOWN => Some((1, Request::Shutdown)),
         REQ_SNAPSHOT => Some((1, Request::SnapshotFetch)),
+        REQ_MAP => Some((1, Request::Map)),
         REQ_FREQ => arg(buf).map(|a| (5, Request::Freq(u32::from_le_bytes(a)))),
         REQ_TOPK => arg(buf).map(|a| (5, Request::TopK(u32::from_le_bytes(a)))),
         REQ_CAL => arg(buf).map(|a| (9, Request::Cal(i64::from_le_bytes(a)))),
@@ -285,13 +293,15 @@ pub(crate) fn encode(out: &mut Vec<u8>, reply: &Response) {
         }
         Response::Stats(payload) => put_sized(out, TAG_STATS, payload.as_bytes()),
         Response::Snapshot(bytes) => put_sized(out, TAG_SNAPSHOT, bytes),
+        Response::Map(wire) => put_sized(out, TAG_MAP, wire.as_bytes()),
         // Text-only verbs: the binary decoder never produces their
         // requests.
         Response::Metrics(_)
         | Response::Logtail(_)
         | Response::Spans(_)
-        | Response::Promoted { .. }
-        | Response::Map(_) => encode(out, &Response::Err("reply has no binary encoding".into())),
+        | Response::Promoted { .. } => {
+            encode(out, &Response::Err("reply has no binary encoding".into()))
+        }
         Response::Stream { .. } => {}
     }
 }
@@ -321,6 +331,7 @@ pub fn encode_request(out: &mut Vec<u8>, req: &Request) -> Result<(), String> {
         Request::Quit => put_simple(out, REQ_QUIT),
         Request::Shutdown => put_simple(out, REQ_SHUTDOWN),
         Request::SnapshotFetch => put_simple(out, REQ_SNAPSHOT),
+        Request::Map => put_simple(out, REQ_MAP),
         Request::Freq(object) => put_freq(out, *object),
         Request::TopK(k) => put_topk(out, *k),
         Request::Cal(threshold) => put_cal(out, *threshold),
@@ -351,6 +362,8 @@ pub enum Reply {
     Cal(u32),
     /// `SNAPSHOT` checkpoint bytes.
     Snapshot(Vec<u8>),
+    /// `MAP` payload: the wire-encoded partition map.
+    Map(String),
 }
 
 fn read_exact_vec<R: Read>(r: &mut R, n: usize) -> io::Result<Vec<u8>> {
@@ -373,6 +386,18 @@ fn read_i64<R: Read>(r: &mut R) -> io::Result<i64> {
 
 fn bad_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// Reads the u32 length and utf-8 text of a `STATS` or `MAP` reply.
+fn read_text<R: Read>(r: &mut R, what: &str) -> io::Result<String> {
+    let len = read_u32(r)? as usize;
+    if len > 1 << 24 {
+        return Err(bad_data(format!(
+            "{what} reply length {len} is implausible"
+        )));
+    }
+    let payload = read_exact_vec(r, len)?;
+    Ok(String::from_utf8_lossy(&payload).into_owned())
 }
 
 /// Reads one response frame off a blocking reader (client side).
@@ -413,14 +438,7 @@ pub fn read_reply<R: BufRead>(r: &mut R) -> io::Result<Reply> {
             }
             Ok(Reply::TopK(entries))
         }
-        TAG_STATS => {
-            let len = read_u32(r)? as usize;
-            if len > 1 << 24 {
-                return Err(bad_data(format!("STATS reply length {len} is implausible")));
-            }
-            let payload = read_exact_vec(r, len)?;
-            Ok(Reply::Stats(String::from_utf8_lossy(&payload).into_owned()))
-        }
+        TAG_STATS => Ok(Reply::Stats(read_text(r, "STATS")?)),
         TAG_CAL => Ok(Reply::Cal(read_u32(r)?)),
         TAG_SNAPSHOT => {
             let len = read_u32(r)? as usize;
@@ -431,6 +449,7 @@ pub fn read_reply<R: BufRead>(r: &mut R) -> io::Result<Reply> {
             }
             Ok(Reply::Snapshot(read_exact_vec(r, len)?))
         }
+        TAG_MAP => Ok(Reply::Map(read_text(r, "MAP")?)),
         other => Err(bad_data(format!("unknown reply tag 0x{other:02x}"))),
     }
 }
@@ -453,6 +472,7 @@ pub fn read_response<R: BufRead>(r: &mut R, req: &Request) -> io::Result<Respons
         (Reply::Cal(count), Request::Cal(_)) => Response::Cal(count),
         (Reply::Stats(payload), Request::Stats) => Response::Stats(payload),
         (Reply::Snapshot(bytes), Request::SnapshotFetch) => Response::Snapshot(bytes),
+        (Reply::Map(wire), Request::Map) => Response::Map(wire),
         _ => return Err(bad_data(format!("unexpected reply to {}", req.name()))),
     })
 }
@@ -575,6 +595,21 @@ mod tests {
         let mut out = Vec::new();
         encode(&mut out, &Response::Upgraded);
         assert_eq!(out, b"OK BIN\n");
+    }
+
+    #[test]
+    fn map_travels_in_both_directions() {
+        let mut wire = Vec::new();
+        encode_request(&mut wire, &Request::Map).expect("MAP has an opcode");
+        assert_eq!(wire, [REQ_MAP]);
+        assert_eq!(decode(&wire), (1, Decoded::Request(Request::Map)));
+        let map = "2 4 a:1,b:2 0,1,0,1";
+        let mut out = Vec::new();
+        encode(&mut out, &Response::Map(map.into()));
+        assert_eq!(out[..5], [TAG_MAP, map.len() as u8, 0, 0, 0]);
+        assert_eq!(round_trip(&out), Reply::Map(map.into()));
+        let got = read_response(&mut &out[..], &Request::Map).expect("MAP reply");
+        assert_eq!(got, Response::Map(map.into()));
     }
 
     #[test]

@@ -340,7 +340,8 @@ impl Client {
         round_trip!(self, Request::SnapshotFetch, Response::Snapshot(bytes) => bytes)
     }
 
-    /// `MAP` → the node's current partition map. Text-protocol only.
+    /// `MAP` → the node's current partition map. Works in both
+    /// protocols.
     pub fn map(&mut self) -> ClientResult<PartitionMap> {
         let wire = round_trip!(self, Request::Map, Response::Map(wire) => wire)?;
         PartitionMap::from_wire(&wire).map_err(ClientError::Protocol)

@@ -1345,7 +1345,7 @@ mod tests {
         ]
     }
 
-    /// The ten verbs that have no binary opcode.
+    /// The nine verbs that have no binary opcode.
     fn text_only(req: &Request) -> bool {
         matches!(
             req,
@@ -1355,7 +1355,6 @@ mod tests {
                 | Request::Snapshot(_)
                 | Request::Replicate { .. }
                 | Request::Promote
-                | Request::Map
                 | Request::MapSet(_)
                 | Request::Migrate { .. }
                 | Request::AdoptFrame { .. }

@@ -21,7 +21,8 @@ use sprofile::{SProfile, Tuple};
 use sprofile_cluster::{ChaosProxy, ClusterClient};
 use sprofile_persist::PartitionMap;
 use sprofile_server::{
-    BackendKind, Client, ClusterConfig, DurabilityConfig, Server, ServerConfig, SyncCommit,
+    BackendKind, Client, ClientError, ClusterConfig, DurabilityConfig, Server, ServerConfig,
+    SyncCommit,
 };
 
 fn temp_base(name: &str) -> PathBuf {
@@ -241,6 +242,52 @@ fn push_map(map: &PartitionMap) {
     }
 }
 
+/// A refusal other than `moved` leaves every other node's connection
+/// paired. Map slot 0 names a read-only replica, so a batch over both
+/// nodes is refused by node 0, whose reply is read first, while node 1
+/// applies its frame; node 1's next acks are its own.
+#[test]
+fn a_refused_frame_leaves_the_other_nodes_connection_paired() {
+    let m = 64u32;
+    let base = temp_base("refused");
+    let addrs = reserve_addrs(2);
+    let replica_addr = reserve_addrs(1).remove(0);
+    let node_cfg = |node: u32, role: &str| NodeConfig {
+        m,
+        slices: 4,
+        node,
+        addrs: &addrs,
+        dir: base.join(format!("{role}{node}")),
+        backend: BackendKind::Sharded { shards: 2 },
+    };
+    let primaries: Vec<Server> = (0..2u32).map(|i| start_primary(node_cfg(i, "p"))).collect();
+    let replica = start_replica(node_cfg(0, "r"), &replica_addr, &addrs[0]);
+
+    let mut router = ClusterClient::connect(&addrs[1]).expect("router");
+    let mut map = router.map().clone();
+    map.version += 1;
+    map.nodes[0] = replica_addr.clone();
+    router.install_map(map).expect("install");
+
+    // Node 0 owns the even ids and node 1 the odd ones: frames of two
+    // and three tuples, so a stale ack cannot match by accident.
+    let spanning = [0, 2, 1, 3, 5].map(Tuple::add);
+    match router.batch(&spanning) {
+        Err(ClientError::Server(msg)) => assert_eq!(msg, "readonly"),
+        other => panic!("a batch into a replica answered {other:?}"),
+    }
+    assert_eq!(router.batch(&[7, 9].map(Tuple::add)).expect("batch"), 2);
+    assert_eq!(router.freq(1).expect("freq"), 1, "node 1 applied its frame");
+    assert_eq!(router.mode().expect("mode"), Some((1, 1)));
+
+    router.close().expect("close");
+    replica.shutdown();
+    for p in primaries {
+        p.shutdown();
+    }
+    std::fs::remove_dir_all(&base).ok();
+}
+
 #[test]
 fn a_trace_id_is_recoverable_from_every_node_it_crossed() {
     // The observability acceptance check: tag one routing client with a
@@ -386,6 +433,92 @@ fn a_network_split_fails_dark_writes_and_heals_clean() {
     // survivors of a real partition redial too).
     proxy.heal();
     let mut router = ClusterClient::connect(&addrs[0]).expect("redial");
+    drive(&mut rng, &mut router, &mut oracle, m, 200);
+    assert_agrees(&mut router, &oracle, m, "post-heal");
+
+    router.close().expect("close");
+    node0.shutdown();
+    node1.shutdown();
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// The split above with the dark node in map slot 0, so every round
+/// reads the dark node's failure first: the healthy node's replies are
+/// still read, and its next acks are its own.
+#[test]
+fn a_split_of_node_zero_leaves_the_healthy_node_paired() {
+    let mut rng = StdRng::seed_from_u64(0x5118);
+    let m = 64u32;
+    let slices = 4u32;
+    let base = temp_base("split0");
+    // Node 0 is only reachable through the chaos proxy: reserve its
+    // real listen address, then put the proxy's address in the map.
+    let upstream0 = reserve_addrs(1).remove(0);
+    let addr1 = reserve_addrs(1).remove(0);
+    let proxy = ChaosProxy::start(&upstream0).expect("proxy");
+    let addrs = vec![proxy.addr().to_string(), addr1];
+
+    let start = |node: u32, listen: &str| {
+        Server::start(
+            ServerConfig {
+                m,
+                backend: BackendKind::Sharded { shards: 2 },
+                workers: 2,
+                flush_every: 1,
+                snapshot_dir: std::env::temp_dir(),
+                wal: Some(DurabilityConfig::new(base.join(format!("node{node}")))),
+                cluster: Some(ClusterConfig {
+                    slices,
+                    node,
+                    nodes: addrs.clone(),
+                }),
+                ..ServerConfig::default()
+            },
+            listen,
+        )
+        .expect("start split-test node")
+    };
+    let node0 = start(0, &upstream0);
+    let node1 = start(1, &addrs[1]);
+
+    let mut router = ClusterClient::connect(&addrs[1]).expect("router");
+    let mut oracle = SProfile::new(m);
+    drive(&mut rng, &mut router, &mut oracle, m, 200);
+
+    proxy.split();
+    std::thread::sleep(std::time::Duration::from_millis(100));
+
+    assert!(router.mode().is_err(), "MODE needs the dark node");
+    let owned = |node: u32| -> Vec<u32> {
+        (0..m)
+            .filter(|&x| router.map().owner_of(x) == node)
+            .collect()
+    };
+    let (dark, healthy) = (owned(0), owned(1));
+    // A batch over both nodes fails on the dark one, and the healthy one
+    // applies its frame.
+    let spanning = [dark[0], dark[1], healthy[0], healthy[1], healthy[2]].map(Tuple::add);
+    assert!(router.batch(&spanning).is_err(), "the split never bit");
+    oracle.apply_batch(&spanning[2..]);
+
+    // Frames of two to four tuples, so a stale ack cannot match by
+    // accident.
+    for i in 0..60 {
+        let frame: Vec<Tuple> = (0..2 + i % 3)
+            .map(|_| Tuple {
+                object: healthy[rng.gen_range(0..healthy.len())],
+                is_add: rng.gen_bool(0.7),
+            })
+            .collect();
+        assert_eq!(
+            router.batch(&frame).expect("healthy write during split"),
+            frame.len() as u64
+        );
+        oracle.apply_batch(&frame);
+    }
+
+    proxy.heal();
+    let mut router = ClusterClient::connect(&addrs[1]).expect("redial");
     drive(&mut rng, &mut router, &mut oracle, m, 200);
     assert_agrees(&mut router, &oracle, m, "post-heal");
 

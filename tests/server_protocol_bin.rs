@@ -731,6 +731,28 @@ fn snapshot_fetch_returns_the_full_state_inline() {
     server.shutdown();
 }
 
+/// `MAP` has a binary opcode, and a server outside a cluster refuses it
+/// over binary as it does over text; the refusal consumes the frame and
+/// leaves the connection usable.
+#[test]
+fn a_standalone_server_refuses_map_in_both_protocols() {
+    let server = start(BackendKind::Sharded { shards: 2 });
+    for proto in [WireProto::Text, WireProto::Bin] {
+        let mut client = Client::connect_with(server.local_addr(), proto).expect("connect");
+        match client.map() {
+            Err(ClientError::Server(msg)) => assert_eq!(msg, "not a cluster node", "{proto:?}"),
+            other => panic!("{proto:?}: MAP on a standalone server answered {other:?}"),
+        }
+        assert_eq!(
+            client.freq(0).expect("FREQ after the refusal"),
+            0,
+            "{proto:?}"
+        );
+        client.quit().expect("quit");
+    }
+    server.shutdown();
+}
+
 /// The mixed window the pipelining tests send: BATCH, FREQ, MODE, TOPK,
 /// CAL, MEDIAN, STATS, twice over, with different tuples each time.
 fn mixed_window() -> Vec<Request> {
